@@ -32,9 +32,9 @@ from .attributes import (
     FriendRecord,
     InferenceError,
     RankedGuess,
+    collect_friend_records,
     extract_rates,
     rank_guesses,
-    rates_from_percentages,
     top_k_accuracy,
     top_within_k_accuracy,
 )

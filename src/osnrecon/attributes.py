@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .oracle import ProfileAttributes, PublicView
 from .recover import FriendsFound
@@ -74,16 +75,13 @@ def collect_friend_records(
     return records
 
 
-def extract_rates(friends: FriendsFound, oracle: PublicView) -> AttributeRates:
-    """Build per-feature rate tables from the recovered friends."""
-    total = len(friends.friends)
-    if total == 0:
-        raise InferenceError(
-            f"no recovered friends for {friends.target!r}; inference impossible"
-        )
+def extract_rates(records: list[FriendRecord]) -> AttributeRates:
+    """Build per-feature rate tables from the recovered friends' records."""
+    if not records:
+        raise InferenceError("no recovered friends; inference impossible")
     tables: dict[str, dict[str, Fraction]] = {f: {} for f in FEATURES}
-    unit = Fraction(1, total)
-    for record in collect_friend_records(friends, oracle):
+    unit = Fraction(1, len(records))
+    for record in records:
         for feature in FEATURES:
             value = getattr(record, feature)
             if value is not None:
@@ -93,26 +91,7 @@ def extract_rates(friends: FriendsFound, oracle: PublicView) -> AttributeRates:
         education=tables["education"],
         hometown=tables["hometown"],
         current_city=tables["current_city"],
-        denominator=total,
-    )
-
-
-def rates_from_percentages(
-    education: dict[str, float],
-    hometown: dict[str, float],
-    current_city: dict[str, float],
-    denominator: int = 100,
-) -> AttributeRates:
-    """Build a rate table directly from fractional rates (fixture aid)."""
-
-    def as_fractions(table: dict[str, float]) -> dict[str, Fraction]:
-        return {label: Fraction(rate).limit_denominator(10**6) for label, rate in table.items()}
-
-    return AttributeRates(
-        education=as_fractions(education),
-        hometown=as_fractions(hometown),
-        current_city=as_fractions(current_city),
-        denominator=denominator,
+        denominator=len(records),
     )
 
 
@@ -122,6 +101,33 @@ def rank_guesses(rates: AttributeRates) -> dict[str, RankedGuess]:
     for feature in FEATURES:
         ordered = sorted(rates.table(feature).items(), key=lambda kv: (-kv[1], kv[0]))
         out[feature] = RankedGuess(feature=feature, values=tuple(ordered))
+    return out
+
+
+def _accuracy(
+    guesses: dict[str, dict[str, RankedGuess]],
+    truth: dict[str, dict[str, str | None]],
+    k: int,
+    hit: Callable[[RankedGuess, str], bool],
+) -> dict[str, Fraction | None]:
+    """Per feature, the fraction of targets with known truth where ``hit``
+    holds for the target's ranking and true value."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not guesses:
+        raise InferenceError("no targets to evaluate")
+    out: dict[str, Fraction | None] = {}
+    for feature in FEATURES:
+        hits = 0
+        total = 0
+        for target, per_feature in guesses.items():
+            true_value = truth.get(target, {}).get(feature)
+            if true_value is None:
+                continue
+            total += 1
+            if hit(per_feature[feature], true_value):
+                hits += 1
+        out[feature] = Fraction(hits, total) if total else None
     return out
 
 
@@ -137,23 +143,7 @@ def top_k_accuracy(
     no ground truth for a feature are excluded from that feature's
     denominator; a feature with no ground truth at all yields None.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not guesses:
-        raise InferenceError("no targets to evaluate")
-    out: dict[str, Fraction | None] = {}
-    for feature in FEATURES:
-        hits = 0
-        total = 0
-        for target, per_feature in guesses.items():
-            true_value = truth.get(target, {}).get(feature)
-            if true_value is None:
-                continue
-            total += 1
-            if per_feature[feature].at(k) == true_value:
-                hits += 1
-        out[feature] = Fraction(hits, total) if total else None
-    return out
+    return _accuracy(guesses, truth, k, lambda ranked, value: ranked.at(k) == value)
 
 
 def top_within_k_accuracy(
@@ -162,21 +152,9 @@ def top_within_k_accuracy(
     k: int,
 ) -> dict[str, Fraction | None]:
     """Cumulative variant: true value anywhere in the first k positions."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not guesses:
-        raise InferenceError("no targets to evaluate")
-    out: dict[str, Fraction | None] = {}
-    for feature in FEATURES:
-        hits = 0
-        total = 0
-        for target, per_feature in guesses.items():
-            true_value = truth.get(target, {}).get(feature)
-            if true_value is None:
-                continue
-            total += 1
-            ranked = per_feature[feature]
-            if any(ranked.at(pos) == true_value for pos in range(1, k + 1)):
-                hits += 1
-        out[feature] = Fraction(hits, total) if total else None
-    return out
+    return _accuracy(
+        guesses,
+        truth,
+        k,
+        lambda ranked, value: any(label == value for label, _ in ranked.values[:k]),
+    )

@@ -22,6 +22,7 @@ from .evaluate import (
     ConfusionMatrix,
     EvaluationError,
     ExperimentConfig,
+    _frac_doc,
     confusion,
     metrics,
     run_experiment,
@@ -167,9 +168,7 @@ def cmd_run(args) -> int:
         count_pruned_as_negative=args.count_pruned_as_negative,
         query_budget=args.budget,
     )
-    experiment = run_experiment(
-        snapshot, args.victim, thresholds, config, jobs=args.jobs
-    )
+    experiment = run_experiment(snapshot, args.victim, thresholds, config)
     out_dir = _default_out(args)
     for result, victim_doc in zip(experiment.victims, experiment.report["victims"]):
         _emit_victim_artifacts(out_dir, result, victim_doc)
@@ -195,14 +194,8 @@ def cmd_calibrate(args) -> int:
         )
     thresholds = calibrate(labeled)
     document = {
-        "best_info": {
-            "exact": f"{thresholds.best_info.numerator}/{thresholds.best_info.denominator}",
-            "value": float(thresholds.best_info),
-        },
-        "best_edges": {
-            "exact": f"{thresholds.best_edges.numerator}/{thresholds.best_edges.denominator}",
-            "value": float(thresholds.best_edges),
-        },
+        "best_info": _frac_doc(thresholds.best_info),
+        "best_edges": _frac_doc(thresholds.best_edges),
         "labeled_candidates": len(labeled),
     }
     text = _json_text(document)
@@ -295,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-prune", action="store_true")
     p.add_argument("--count-pruned-as-negative", action="store_true")
     p.add_argument("--budget", type=int)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_run)
 
@@ -326,11 +318,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class UsageError(Exception):
+    pass
+
+
+def _check_ranges(args) -> None:
+    """Reject out-of-range thresholds and budgets before any work starts."""
+    for flag in ("best_info", "best_edges"):
+        value = getattr(args, flag, None)
+        if value is not None and not 0 <= value <= 1:
+            raise UsageError(f"--{flag.replace('_', '-')} {value} outside [0, 1]")
+    budget = getattr(args, "budget", None)
+    if budget is not None and budget < 0:
+        raise UsageError(f"--budget {budget} is negative")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_ranges(args)
         return args.func(args)
-    except (SnapshotError, OracleError, EvaluationError, CalibrationError, OSError) as exc:
+    except (
+        UsageError, SnapshotError, OracleError, EvaluationError, CalibrationError, OSError
+    ) as exc:
         print(f"error ({args.command}): {exc}", file=sys.stderr)
         return 2
 

@@ -177,7 +177,7 @@ def evaluate_victim(
         result.pruned_graph = result.graph
 
     result.friend_records = collect_friend_records(recovered, oracle)
-    result.rates = extract_rates(recovered, oracle)
+    result.rates = extract_rates(result.friend_records)
     result.rankings = rank_guesses(result.rates)
     scored = score_candidates(
         result.pruned_graph, result.rates, oracle, recovered.friends
@@ -252,32 +252,20 @@ def run_experiment(
     victims: list[str],
     thresholds: Thresholds,
     config: ExperimentConfig = ExperimentConfig(),
-    jobs: int = 1,
 ) -> ExperimentResult:
-    """Evaluate each victim and assemble the aggregate report.
+    """Evaluate each victim in sorted id order and assemble the aggregate
+    report.
 
-    Victims run independently (concurrently when ``jobs`` > 1); the
-    report is an ordered merge, so it does not depend on ``jobs``. The
-    aggregate confusion matrix is reported three ways: exact cell-wise
-    means over evaluated victims, the same rounded to integers, and
-    pooled sums.
+    The aggregate confusion matrix is reported three ways: exact
+    cell-wise means over evaluated victims, the same rounded to
+    integers, and pooled sums.
     """
     if not victims:
         raise EvaluationError("no victims given")
-    ordered = sorted(set(victims))
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(
-                    lambda v: evaluate_victim(snapshot, v, thresholds, config), ordered
-                )
-            )
-    else:
-        results = [
-            evaluate_victim(snapshot, victim, thresholds, config) for victim in ordered
-        ]
+    results = [
+        evaluate_victim(snapshot, victim, thresholds, config)
+        for victim in sorted(set(victims))
+    ]
     evaluated = [r for r in results if not r.skipped]
 
     report: dict = {

@@ -15,7 +15,6 @@ counted, and an optional budget turns rate limiting into a hard error.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from .model import OsnSnapshot, Picture
@@ -52,7 +51,7 @@ class ProfileAttributes:
 
 
 class PublicView:
-    """Read-only, thread-safe oracle over one snapshot."""
+    """Read-only oracle over one snapshot."""
 
     def __init__(self, snapshot: OsnSnapshot, budget: int | None = None):
         if budget is not None and budget < 0:
@@ -60,7 +59,6 @@ class PublicView:
         self._snapshot = snapshot
         self._budget = budget
         self._count = 0
-        self._lock = threading.Lock()
 
     @property
     def query_count(self) -> int:
@@ -71,10 +69,9 @@ class PublicView:
         return self._budget
 
     def _charge(self) -> None:
-        with self._lock:
-            if self._budget is not None and self._count >= self._budget:
-                raise QueryBudgetExceeded(self._budget)
-            self._count += 1
+        if self._budget is not None and self._count >= self._budget:
+            raise QueryBudgetExceeded(self._budget)
+        self._count += 1
 
     def _profile(self, user_id: str):
         profile = self._snapshot.users.get(user_id)

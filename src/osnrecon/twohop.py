@@ -43,29 +43,19 @@ class TwoHopSurvey:
 class FriendshipGraph:
     victim: str
     roles: dict[str, Role]
-    edges: set[tuple[str, str]]
+    adj: dict[str, set[str]]  # symmetric; every node in ``roles`` has an entry
     one_hop: frozenset[str]
+
+    @property
+    def edges(self) -> set[tuple[str, str]]:
+        """Each edge once, as a sorted pair."""
+        return {(a, b) for a, near in self.adj.items() for b in near if a < b}
 
     def nodes(self) -> list[str]:
         return sorted(self.roles)
 
     def has_edge(self, a: str, b: str) -> bool:
-        return (min(a, b), max(a, b)) in self.edges
-
-    def neighbors(self, node: str) -> set[str]:
-        if node not in self.roles:
-            raise KeyError(f"node {node!r} not in graph")
-        out = set()
-        for a, b in self.edges:
-            if a == node:
-                out.add(b)
-            elif b == node:
-                out.add(a)
-        return out
-
-    def _add_edge(self, a: str, b: str) -> None:
-        if a != b:
-            self.edges.add((min(a, b), max(a, b)))
+        return b in self.adj.get(a, ())
 
 
 def collect_2hop(
@@ -105,45 +95,43 @@ def build_graph(survey: TwoHopSurvey) -> FriendshipGraph:
     edges are verified during recovery, friend-to-second-hop edges come
     from recovery on the friend, and mutual-friend edges come from the
     oracle. Edges are inserted even when both endpoints already exist,
-    so the graph carries every fact the survey established.
+    so the graph carries every fact the survey established. A node keeps
+    the role it first gets in the survey's (sorted) pair order; a 2-hop
+    node is TWO_HOP_SINGLE_EDGE exactly when its shared-edge count is 1.
     """
     victim = survey.victim
+    roles = {victim: Role.VICTIM}
+    adj: dict[str, set[str]] = {victim: set()}
+
+    def link(a: str, b: str) -> None:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+
+    for friend in survey.recovered.friends:
+        roles[friend] = Role.ONE_HOP
+        link(victim, friend)
+    for (friend, second), common_friends in survey.mutuals.items():
+        roles.setdefault(second, Role.TWO_HOP_RELEVANT)
+        link(friend, second)
+        for common in common_friends:
+            roles.setdefault(common, Role.COMMON_FRIEND)
+            link(friend, common)
+            link(common, second)
     graph = FriendshipGraph(
-        victim=victim,
-        roles={victim: Role.VICTIM},
-        edges=set(),
-        one_hop=frozenset(survey.recovered.friends),
+        victim=victim, roles=roles, adj=adj, one_hop=survey.recovered.friends
     )
-    for friend in sorted(survey.recovered.friends):
-        graph.roles[friend] = Role.ONE_HOP
-        graph._add_edge(victim, friend)
-    for friend, second in sorted(survey.mutuals):
-        if second not in graph.roles:
-            graph.roles[second] = Role.TWO_HOP_RELEVANT
-        graph._add_edge(friend, second)
-        for common in sorted(survey.mutuals[(friend, second)]):
-            if common not in graph.roles:
-                graph.roles[common] = Role.COMMON_FRIEND
-            graph._add_edge(friend, common)
-            graph._add_edge(common, second)
-    _refine_two_hop_roles(graph)
+    for node, role in roles.items():
+        if role == Role.TWO_HOP_RELEVANT and shared_edge_count(graph, node) == 1:
+            roles[node] = Role.TWO_HOP_SINGLE_EDGE
     return graph
 
 
-def _refine_two_hop_roles(graph: FriendshipGraph) -> None:
-    for node, role in graph.roles.items():
-        if role in (Role.TWO_HOP_RELEVANT, Role.TWO_HOP_SINGLE_EDGE):
-            count = shared_edge_count(graph, node)
-            graph.roles[node] = (
-                Role.TWO_HOP_SINGLE_EDGE if count == 1 else Role.TWO_HOP_RELEVANT
-            )
-
-
 def shared_edge_count(graph: FriendshipGraph, node: str) -> int:
-    """Number of the victim's recovered friends adjacent to ``node``."""
-    if node not in graph.roles:
-        raise KeyError(f"node {node!r} not in graph")
-    return sum(1 for friend in graph.one_hop if graph.has_edge(friend, node))
+    """Number of the victim's recovered friends adjacent to ``node``.
+
+    Raises KeyError for a node that is not in the graph.
+    """
+    return len(graph.adj[node] & graph.one_hop)
 
 
 def two_hop_nodes(graph: FriendshipGraph) -> list[str]:
@@ -157,20 +145,17 @@ def two_hop_nodes(graph: FriendshipGraph) -> list[str]:
 def prune_single_edge(graph: FriendshipGraph) -> FriendshipGraph:
     """Drop 2-hop nodes sharing exactly one friend with the victim.
 
-    Idempotent: removed nodes are never in ``one_hop``, so surviving
-    nodes keep their shared-edge counts.
+    Relies on the invariant ``build_graph`` establishes: a node has role
+    TWO_HOP_SINGLE_EDGE exactly when its shared-edge count is 1, so the
+    prune is a filter on that role. Idempotent: removed nodes are never
+    in ``one_hop``, so surviving nodes keep their shared-edge counts and
+    the invariant still holds on the result.
     """
     doomed = {
-        node
-        for node in two_hop_nodes(graph)
-        if shared_edge_count(graph, node) == 1
+        node for node, role in graph.roles.items() if role == Role.TWO_HOP_SINGLE_EDGE
     }
-    roles = {
-        node: (Role.TWO_HOP_RELEVANT if role == Role.TWO_HOP_SINGLE_EDGE else role)
-        for node, role in graph.roles.items()
-        if node not in doomed
-    }
-    edges = {(a, b) for a, b in graph.edges if a not in doomed and b not in doomed}
+    roles = {node: role for node, role in graph.roles.items() if node not in doomed}
+    adj = {node: graph.adj[node] - doomed for node in roles}
     return FriendshipGraph(
-        victim=graph.victim, roles=roles, edges=edges, one_hop=graph.one_hop
+        victim=graph.victim, roles=roles, adj=adj, one_hop=graph.one_hop
     )

@@ -15,6 +15,7 @@ from osnrecon import (
     build_graph,
     calibrate,
     collect_2hop,
+    collect_friend_records,
     extract_rates,
     generate_synthetic,
     metrics,
@@ -61,7 +62,7 @@ def test_criterion_1_worked_example_scores():
     view = PublicView(snap)
     found = recover_friends(VICTIM, view)
     graph = prune_single_edge(build_graph(collect_2hop(VICTIM, view)))
-    rates = extract_rates(found, view)
+    rates = extract_rates(collect_friend_records(found, view))
     scores = {
         s.candidate: s for s in score_candidates(graph, rates, view, found.friends)
     }
@@ -199,7 +200,7 @@ def test_criterion_6_attribute_rate_invariants():
         found = recover_friends(victim, view)
         if not found.friends:
             continue
-        rates = extract_rates(found, view)
+        rates = extract_rates(collect_friend_records(found, view))
         total = len(found.friends)
         for feature in FEATURES:
             visible = sum(

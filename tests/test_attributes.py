@@ -9,6 +9,7 @@ from osnrecon import (
     GeneratorConfig,
     InferenceError,
     PublicView,
+    collect_friend_records,
     extract_rates,
     generate_synthetic,
     load_snapshot,
@@ -46,7 +47,7 @@ def test_uniform_education():
     snap = snapshot_with_friends(
         [{"id": f"f{i}", "education": "padua"} for i in range(4)]
     )
-    rates = extract_rates(recovered(snap), PublicView(snap))
+    rates = extract_rates(collect_friend_records(recovered(snap), PublicView(snap)))
     assert rates.education == {"padua": Fraction(1)}
     assert rates.denominator == 4
 
@@ -59,7 +60,7 @@ def test_private_friends_dilute_rates():
         {"id": "f3", "privacy": {"attributes_public": False}},
     ]
     snap = snapshot_with_friends(entries)
-    rates = extract_rates(recovered(snap), PublicView(snap))
+    rates = extract_rates(collect_friend_records(recovered(snap), PublicView(snap)))
     assert rates.hometown == {"rome": Fraction(1, 2)}
     assert sum(rates.hometown.values()) < 1
 
@@ -68,12 +69,12 @@ def test_zero_recovered_friends_is_an_error():
     snap = snapshot_with_friends([{"id": "f0"}])
     empty = FriendsFound(target="v", friends=frozenset(), candidates_checked=0)
     with pytest.raises(InferenceError):
-        extract_rates(empty, PublicView(snap))
+        extract_rates(collect_friend_records(empty, PublicView(snap)))
 
 
 def test_worked_example_rates(worked_example):
     found = recover_friends(VICTIM, PublicView(worked_example))
-    rates = extract_rates(found, PublicView(worked_example))
+    rates = extract_rates(collect_friend_records(found, PublicView(worked_example)))
     assert rates.denominator == 100
     assert rates.current_city == {
         "padua": Fraction(27, 100),
@@ -91,7 +92,7 @@ def test_worked_example_rates(worked_example):
 
 def test_worked_example_ranking(worked_example):
     found = recover_friends(VICTIM, PublicView(worked_example))
-    rates = extract_rates(found, PublicView(worked_example))
+    rates = extract_rates(collect_friend_records(found, PublicView(worked_example)))
     ranking = rank_guesses(rates)
     assert ranking["education"].at(1) == "padua"
     assert ranking["education"].at(2) == "venice"
@@ -101,7 +102,8 @@ def test_worked_example_ranking(worked_example):
 
 def test_single_value_is_top_one():
     snap = snapshot_with_friends([{"id": "f0", "education": "rome"}])
-    ranking = rank_guesses(extract_rates(recovered(snap), PublicView(snap)))
+    records = collect_friend_records(recovered(snap), PublicView(snap))
+    ranking = rank_guesses(extract_rates(records))
     assert ranking["education"].at(1) == "rome"
     assert ranking["education"].at(2) is None
     assert ranking["hometown"].values == ()
@@ -112,7 +114,8 @@ def test_tie_broken_by_label_order():
         [{"id": "f0", "hometown": "rome"}, {"id": "f1", "hometown": "milan"}]
     )
     for _ in range(3):
-        ranking = rank_guesses(extract_rates(recovered(snap), PublicView(snap)))
+        records = collect_friend_records(recovered(snap), PublicView(snap))
+        ranking = rank_guesses(extract_rates(records))
         assert ranking["hometown"].at(1) == "milan"
         assert ranking["hometown"].at(2) == "rome"
 
@@ -173,7 +176,7 @@ def test_rate_mass_invariant(seed, n):
     if not found.friends:
         return
     view = PublicView(snap)
-    rates = extract_rates(found, view)
+    rates = extract_rates(collect_friend_records(found, view))
     total = len(found.friends)
     for feature in FEATURES:
         table = rates.table(feature)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from osnrecon.cli import main
 
 from helpers import worked_example_snapshot
@@ -139,3 +141,23 @@ def test_unreadable_snapshot(tmp_path, capsys):
     code = main(["run", "--snapshot", str(tmp_path / "missing.json"), "--victim", "v"])
     assert code != 0
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("run", ["--best-info", "1.5"]),
+        ("run", ["--best-info", "nan"]),
+        ("run", ["--best-edges", "-0.1"]),
+        ("run", ["--budget", "-1"]),
+        ("calibrate", ["--budget", "-1"]),
+        ("export-dot", ["--budget", "-1"]),
+    ],
+)
+def test_out_of_range_options_exit_2(tmp_path, capsys, command, flags):
+    snap = write_worked_example(tmp_path)
+    out = tmp_path / "out"
+    argv = [command, "--snapshot", str(snap), "--victim", "victim", "--out", str(out)]
+    assert main(argv + flags) == 2
+    assert capsys.readouterr().err.startswith(f"error ({command}): {flags[0]} ")
+    assert not out.exists()

@@ -9,6 +9,7 @@ from osnrecon import (
     EvaluationError,
     ExperimentConfig,
     GeneratorConfig,
+    PublicView,
     Thresholds,
     confusion,
     evaluate_victim,
@@ -77,6 +78,20 @@ def test_evaluate_victim_worked_example(worked_example):
     assert result.matrix == ConfusionMatrix(tn=0, fp=4, fn=0, tp=0)
 
 
+def test_each_friend_and_candidate_attributes_charged_once(worked_example, monkeypatch):
+    calls = []
+    original = PublicView.public_attributes_of
+
+    def counted(self, user_id):
+        calls.append(user_id)
+        return original(self, user_id)
+
+    monkeypatch.setattr(PublicView, "public_attributes_of", counted)
+    result = evaluate_victim(worked_example, VICTIM, loose_thresholds())
+    assert len(calls) == len(result.survey.recovered.friends) + len(result.scores)
+    assert len(calls) == len(set(calls))
+
+
 def test_evaluate_victim_unknown(worked_example):
     with pytest.raises(EvaluationError, match="'ghost'"):
         evaluate_victim(worked_example, "ghost", loose_thresholds())
@@ -131,16 +146,12 @@ def test_run_experiment_structure():
             assert Fraction(num, den) * count == agg["confusion_pooled"][cell]
 
 
-def test_run_experiment_deterministic_and_jobs_invariant():
+def test_run_experiment_deterministic():
     snap = experiment_snapshot()
     victims = sorted(snap.users)[:4]
     one = run_experiment(snap, victims, loose_thresholds())
     two = run_experiment(snap, victims, loose_thresholds())
-    parallel = run_experiment(snap, victims, loose_thresholds(), jobs=4)
     assert json.dumps(one.report, sort_keys=True) == json.dumps(two.report, sort_keys=True)
-    assert json.dumps(one.report, sort_keys=True) == json.dumps(
-        parallel.report, sort_keys=True
-    )
 
 
 def test_run_experiment_skips_victims_without_recovery():

@@ -15,15 +15,15 @@ from osnrecon import (
     calibrate,
     classify,
     collect_2hop,
+    collect_friend_records,
     extract_rates,
     info_score,
     prune_single_edge,
-    rates_from_percentages,
     recover_friends,
     score_candidates,
 )
 
-from helpers import VICTIM
+from helpers import VICTIM, rates_from_percentages
 
 
 def table_rates():
@@ -60,7 +60,7 @@ def full_pipeline_scores(snapshot):
     view = PublicView(snapshot)
     found = recover_friends(VICTIM, view)
     graph = prune_single_edge(build_graph(collect_2hop(VICTIM, view)))
-    rates = extract_rates(found, view)
+    rates = extract_rates(collect_friend_records(found, view))
     return score_candidates(graph, rates, view, found.friends)
 
 

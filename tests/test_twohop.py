@@ -182,6 +182,11 @@ def test_graph_is_simple():
     for a, b in graph.edges:
         assert a < b
         assert a in graph.roles and b in graph.roles
+    assert set(graph.adj) == set(graph.roles)
+    for a, near in graph.adj.items():
+        assert a not in near
+        assert all(a in graph.adj[b] for b in near)
+    assert graph.edges == {(min(a, b), max(a, b)) for a in graph.adj for b in graph.adj[a]}
 
 
 @settings(max_examples=60, deadline=None)
@@ -193,5 +198,11 @@ def test_graph_soundness_property(seed, n):
     truth = snap.friendship_edges()
     assert graph.edges <= truth
     pruned = prune_single_edge(graph)
+    single = {
+        node
+        for node in two_hop_nodes(graph)
+        if brute_shared_edges(snap, set(graph.one_hop), node) == 1
+    }
+    assert set(graph.roles) - set(pruned.roles) == single
     again = prune_single_edge(pruned)
     assert again.roles == pruned.roles and again.edges == pruned.edges
