@@ -53,7 +53,6 @@ from .evaluate import (
     ConfusionMatrix,
     EvaluationError,
     ExperimentConfig,
-    ExperimentResult,
     Metrics,
     confusion,
     evaluate_victim,

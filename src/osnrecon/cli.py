@@ -13,6 +13,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,6 +40,10 @@ from .scoring import CalibrationError, Thresholds, calibrate
 from .twohop import build_graph, collect_2hop, prune_single_edge
 
 
+class UsageError(Exception):
+    pass
+
+
 def write_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
@@ -62,23 +67,21 @@ def _float_cell(value: Fraction) -> str:
     return f"{float(value):.6f}"
 
 
+def _read_json(path):
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{path}: invalid JSON ({exc})") from exc
+
+
 def _generator_config(args) -> GeneratorConfig:
-    doc = {}
-    if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as handle:
-            doc.update(json.load(handle))
-    overrides = {
-        "n_users": getattr(args, "users", None),
-        "mean_degree": getattr(args, "mean_degree", None),
-        "pictures_per_user": getattr(args, "pictures_per_user", None),
-        "p_friend": getattr(args, "p_friend", None),
-        "p_stranger": getattr(args, "p_stranger", None),
-        "p_picture_public": getattr(args, "p_picture_public", None),
-        "p_attributes_public": getattr(args, "p_attributes_public", None),
-        "homophily": getattr(args, "homophily", None),
-    }
-    doc.update({key: value for key, value in overrides.items() if value is not None})
-    return GeneratorConfig.from_dict(doc)
+    config = GeneratorConfig.from_dict(_read_json(args.config) if args.config else {})
+    overrides = {"n_users": getattr(args, "users", None)}
+    for name in ("mean_degree", "pictures_per_user", "p_friend", "p_stranger",
+                 "p_picture_public", "p_attributes_public", "homophily"):
+        overrides[name] = getattr(args, name)
+    return replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _default_out(args) -> Path:
@@ -100,10 +103,7 @@ def cmd_generate(args) -> int:
 def cmd_ingest(args) -> int:
     with open(args.edges, encoding="utf-8") as handle:
         lines = handle.readlines()
-    attribute_rows = None
-    if args.attrs:
-        with open(args.attrs, encoding="utf-8") as handle:
-            attribute_rows = json.load(handle)
+    attribute_rows = _read_json(args.attrs) if args.attrs else None
     snapshot = ingest_edge_list(
         lines, _generator_config(args), seed=args.seed, attribute_rows=attribute_rows
     )
@@ -112,49 +112,41 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _emit_victim_artifacts(out_dir: Path, result, victim_doc: dict) -> None:
-    base = out_dir / result.victim
-    write_atomic(base / "report.json", _json_text(victim_doc))
+def _victim_files(result, victim_doc: dict) -> dict[str, str]:
+    """A victim's artifacts, file name to text; nothing is written."""
+    files = {"report.json": _json_text(victim_doc)}
     if result.skipped:
-        return
-    write_atomic(base / "graph.dot", graph_to_dot(result.pruned_graph))
-    write_atomic(base / "mutuals.json", _json_text(result.survey.mutuals_document()))
+        return files
+    files["graph.dot"] = graph_to_dot(result.pruned_graph)
+    files["mutuals.json"] = _json_text(result.survey.mutuals_document())
     rate_rows = [
         [feature, label, f"{rate.numerator}/{rate.denominator}", _float_cell(rate)]
         for feature in FEATURES
         for label, rate in sorted(result.rates.table(feature).items())
     ]
-    write_atomic(
-        base / "rates.csv",
-        _csv_text(["feature", "label", "rate_exact", "rate"], rate_rows),
+    files["rates.csv"] = _csv_text(["feature", "label", "rate_exact", "rate"], rate_rows)
+    files["friends.csv"] = _csv_text(
+        ["source", "education", "hometown", "current_city"],
+        [
+            [r.source, r.education or "", r.hometown or "", r.current_city or ""]
+            for r in result.friend_records
+        ],
     )
-    write_atomic(
-        base / "friends.csv",
-        _csv_text(
-            ["source", "education", "hometown", "current_city"],
+    files["scores.csv"] = _csv_text(
+        ["candidate", "info_score", "shared_edges", "edge_score", "combined", "verdict"],
+        [
             [
-                [r.source, r.education or "", r.hometown or "", r.current_city or ""]
-                for r in result.friend_records
-            ],
-        ),
+                s.candidate,
+                _float_cell(s.info_score),
+                s.shared_edges,
+                _float_cell(s.edge_score),
+                _float_cell(s.combined),
+                s.verdict,
+            ]
+            for s in result.scores
+        ],
     )
-    write_atomic(
-        base / "scores.csv",
-        _csv_text(
-            ["candidate", "info_score", "shared_edges", "edge_score", "combined", "verdict"],
-            [
-                [
-                    s.candidate,
-                    _float_cell(s.info_score),
-                    s.shared_edges,
-                    _float_cell(s.edge_score),
-                    _float_cell(s.combined),
-                    s.verdict,
-                ]
-                for s in result.scores
-            ],
-        ),
-    )
+    return files
 
 
 def cmd_run(args) -> int:
@@ -168,30 +160,35 @@ def cmd_run(args) -> int:
         count_pruned_as_negative=args.count_pruned_as_negative,
         query_budget=args.budget,
     )
-    experiment = run_experiment(snapshot, args.victim, thresholds, config)
     out_dir = _default_out(args)
-    for result, victim_doc in zip(experiment.victims, experiment.report["victims"]):
-        _emit_victim_artifacts(out_dir, result, victim_doc)
-    write_atomic(out_dir / "aggregate.json", _json_text(experiment.report))
-    print(f"wrote report for {len(experiment.victims)} victim(s) to {out_dir}")
+    # Victims are rendered as they finish and written only once all are
+    # done, so a run that fails part-way writes nothing.
+    files: dict[Path, str] = {}
+
+    def render(result, victim_doc: dict) -> None:
+        for name, text in _victim_files(result, victim_doc).items():
+            files[out_dir / result.victim / name] = text
+
+    report = run_experiment(snapshot, args.victim, thresholds, config, on_victim=render)
+    for path, text in files.items():
+        write_atomic(path, text)
+    write_atomic(out_dir / "aggregate.json", _json_text(report))
+    print(f"wrote report for {len(report['victims'])} victim(s) to {out_dir}")
     return 0
 
 
 def cmd_calibrate(args) -> int:
     snapshot = load_snapshot_file(args.snapshot)
-    config = ExperimentConfig(
-        prune=not args.no_prune, query_budget=args.budget
-    )
+    config = ExperimentConfig(prune=not args.no_prune, query_budget=args.budget)
     placeholder = Thresholds(best_info=Fraction(0), best_edges=Fraction(0))
-    experiment = run_experiment(snapshot, args.victim, placeholder, config)
     labeled = []
-    for result in experiment.victims:
-        if result.skipped:
-            continue
-        ground = snapshot.users[result.victim].friends
-        labeled.extend(
-            (score, score.candidate in ground) for score in result.scores
-        )
+
+    def label(result, victim_doc: dict) -> None:
+        if not result.skipped:
+            ground = snapshot.users[result.victim].friends
+            labeled.extend((score, score.candidate in ground) for score in result.scores)
+
+    run_experiment(snapshot, args.victim, placeholder, config, on_victim=label)
     thresholds = calibrate(labeled)
     document = {
         "best_info": _frac_doc(thresholds.best_info),
@@ -207,8 +204,12 @@ def cmd_calibrate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     if args.predictions:
-        with open(args.predictions, encoding="utf-8") as handle:
-            rows = json.load(handle)
+        rows = _read_json(args.predictions)
+        fields = {"id", "predicted", "actual"}
+        if not isinstance(rows, list) or not all(
+            isinstance(row, dict) and fields <= row.keys() for row in rows
+        ):
+            raise EvaluationError(f"{args.predictions}: rows need id, predicted and actual")
         predictions = {row["id"]: bool(row["predicted"]) for row in rows}
         truth = {row["id"]: bool(row["actual"]) for row in rows}
         matrix = confusion(predictions, truth)
@@ -316,10 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_export_dot)
 
     return parser
-
-
-class UsageError(Exception):
-    pass
 
 
 def _check_ranges(args) -> None:

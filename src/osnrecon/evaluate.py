@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .attributes import (
     FEATURES,
@@ -22,7 +23,7 @@ from .attributes import (
     top_within_k_accuracy,
 )
 from .model import OsnSnapshot
-from .oracle import PublicView
+from .oracle import PublicView, QueryBudgetExceeded
 from .scoring import FRIEND, CandidateScore, Thresholds, classify, score_candidates
 from .twohop import (
     FriendshipGraph,
@@ -121,14 +122,6 @@ class VictimResult:
     queries: int = 0
 
 
-@dataclass
-class ExperimentResult:
-    thresholds: Thresholds
-    config: ExperimentConfig
-    victims: list[VictimResult]
-    report: dict
-
-
 def _frac_doc(value: Fraction | None) -> dict | None:
     if value is None:
         return None
@@ -154,17 +147,32 @@ def evaluate_victim(
     config: ExperimentConfig = ExperimentConfig(),
 ) -> VictimResult:
     """Run the full pipeline for one victim and score it against ground
-    truth."""
+    truth. A victim that runs out of query budget is skipped whole, so a
+    result is either complete or skipped, never truncated."""
     if victim not in snapshot.users:
         raise EvaluationError(f"victim {victim!r} not in snapshot")
     oracle = PublicView(snapshot, budget=config.query_budget)
+    try:
+        result = _attack(snapshot, victim, oracle, thresholds, config)
+    except QueryBudgetExceeded:
+        result = VictimResult(victim=victim, skipped=True, skip_reason="budget exhausted")
+    result.queries = oracle.query_count
+    return result
+
+
+def _attack(
+    snapshot: OsnSnapshot,
+    victim: str,
+    oracle: PublicView,
+    thresholds: Thresholds,
+    config: ExperimentConfig,
+) -> VictimResult:
     result = VictimResult(victim=victim)
     result.survey = collect_2hop(victim, oracle)
     recovered = result.survey.recovered
     if not recovered.friends:
         result.skipped = True
         result.skip_reason = "no friends recovered"
-        result.queries = oracle.query_count
         return result
 
     result.graph = build_graph(result.survey)
@@ -191,7 +199,6 @@ def evaluate_victim(
             predictions.setdefault(candidate, False)
     truth = {candidate: candidate in ground_friends for candidate in predictions}
     result.matrix = confusion(predictions, truth)
-    result.queries = oracle.query_count
     return result
 
 
@@ -252,21 +259,31 @@ def run_experiment(
     victims: list[str],
     thresholds: Thresholds,
     config: ExperimentConfig = ExperimentConfig(),
-) -> ExperimentResult:
-    """Evaluate each victim in sorted id order and assemble the aggregate
-    report.
+    on_victim: Callable[[VictimResult, dict], None] | None = None,
+) -> dict:
+    """Evaluate each victim in sorted id order and return the report.
 
-    The aggregate confusion matrix is reported three ways: exact
-    cell-wise means over evaluated victims, the same rounded to
-    integers, and pooled sums.
+    Each victim's result is handed to ``on_victim`` with its report entry
+    and then dropped; only the entries, the pooled confusion matrix and
+    the attribute rankings carry over to the aggregate. The aggregate
+    confusion matrix is reported three ways: exact cell-wise means over
+    evaluated victims, the same rounded to integers, and pooled sums.
     """
     if not victims:
         raise EvaluationError("no victims given")
-    results = [
-        evaluate_victim(snapshot, victim, thresholds, config)
-        for victim in sorted(set(victims))
-    ]
-    evaluated = [r for r in results if not r.skipped]
+    docs: list[dict] = []
+    pooled = ConfusionMatrix()
+    guesses: dict[str, dict[str, RankedGuess]] = {}
+    for victim in sorted(set(victims)):
+        result = evaluate_victim(snapshot, victim, thresholds, config)
+        doc = _victim_doc(result)
+        if on_victim is not None:
+            on_victim(result, doc)
+        docs.append(doc)
+        if not result.skipped:
+            pooled = pooled + result.matrix
+            guesses[victim] = result.rankings
+    del result
 
     report: dict = {
         "thresholds": {
@@ -278,14 +295,11 @@ def run_experiment(
             "count_pruned_as_negative": config.count_pruned_as_negative,
             "query_budget": config.query_budget,
         },
-        "victims": [_victim_doc(r) for r in results],
+        "victims": docs,
     }
 
-    if evaluated:
-        pooled = ConfusionMatrix()
-        for r in evaluated:
-            pooled = pooled + r.matrix
-        count = len(evaluated)
+    count = len(guesses)
+    if count:
         mean_cells = {
             cell: Fraction(getattr(pooled, cell), count)
             for cell in ("tn", "fp", "fn", "tp")
@@ -295,7 +309,7 @@ def run_experiment(
         )
         report["aggregate"] = {
             "victims_evaluated": count,
-            "victims_skipped": len(results) - count,
+            "victims_skipped": len(docs) - count,
             "confusion_mean": {c: _frac_doc(v) for c, v in mean_cells.items()},
             "confusion_mean_rounded": _matrix_doc(rounded),
             "confusion_pooled": _matrix_doc(pooled),
@@ -303,13 +317,12 @@ def run_experiment(
             "metrics_mean_rounded": _metrics_doc(metrics(rounded)),
         }
 
-        guesses = {r.victim: r.rankings for r in evaluated}
         truth = {
-            r.victim: {
-                feature: getattr(snapshot.users[r.victim], feature)
+            victim: {
+                feature: getattr(snapshot.users[victim], feature)
                 for feature in FEATURES
             }
-            for r in evaluated
+            for victim in guesses
         }
         report["attribute_accuracy"] = {
             "top1": {f: _frac_doc(v) for f, v in top_k_accuracy(guesses, truth, 1).items()},
@@ -321,9 +334,6 @@ def run_experiment(
     else:
         report["aggregate"] = {
             "victims_evaluated": 0,
-            "victims_skipped": len(results),
+            "victims_skipped": len(docs),
         }
-
-    return ExperimentResult(
-        thresholds=thresholds, config=config, victims=results, report=report
-    )
+    return report

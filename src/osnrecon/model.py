@@ -150,7 +150,7 @@ class OsnSnapshot:
 
 
 def _require(doc: dict, key: str, kind: type, where: str):
-    if key not in doc:
+    if not isinstance(doc, dict) or key not in doc:
         raise SchemaError(f"{where}: missing field {key!r}")
     value = doc[key]
     if not isinstance(value, kind):
@@ -282,14 +282,19 @@ class GeneratorConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GeneratorConfig":
+        if not isinstance(doc, dict):
+            raise SnapshotError("generator config must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(doc) - known
         if unknown:
             raise SnapshotError(f"unknown generator option(s): {sorted(unknown)}")
         doc = dict(doc)
         for key in ("cities", "schools"):
+            labels = doc.get(key, [])
+            if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
+                raise SnapshotError(f"generator option {key!r}: expected a list of strings")
             if key in doc:
-                doc[key] = tuple(canonical(v) for v in doc[key])
+                doc[key] = tuple(canonical(v) for v in labels)
         return cls(**doc)
 
 
@@ -446,6 +451,8 @@ def ingest_edge_list(
     ids = sorted(adjacency)
     attributes: dict[str, dict[str, str | None]] = {uid: {} for uid in ids}
     valid_features = {"hometown", "current_city", "education", "high_school"}
+    if attribute_rows is not None and not isinstance(attribute_rows, list):
+        raise SchemaError("attribute rows must be a JSON array")
     for row in attribute_rows or []:
         uid = _require(row, "id", str, "attribute row")
         feature = _require(row, "feature", str, "attribute row")

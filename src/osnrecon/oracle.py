@@ -64,10 +64,6 @@ class PublicView:
     def query_count(self) -> int:
         return self._count
 
-    @property
-    def budget(self) -> int | None:
-        return self._budget
-
     def _charge(self) -> None:
         if self._budget is not None and self._count >= self._budget:
             raise QueryBudgetExceeded(self._budget)

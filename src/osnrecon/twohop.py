@@ -29,7 +29,6 @@ class Role(str, Enum):
 class TwoHopSurvey:
     victim: str
     recovered: FriendsFound
-    neighbor_recovered: dict[str, FriendsFound]
     mutuals: dict[tuple[str, str], frozenset[str]]
 
     def mutuals_document(self) -> dict[str, list[str]]:
@@ -66,26 +65,17 @@ def collect_2hop(
     """Run recovery on the victim and each recovered friend, and map the
     mutual friends of every (friend, friend-of-friend) pair.
 
-    Recovery is memoized so each profile is surveyed once. Entries for
-    the victim itself are skipped: a pair (friend, victim) carries no
-    new information.
+    Each profile is surveyed once: the victim's friends are distinct.
+    Entries for the victim itself are skipped: a pair (friend, victim)
+    carries no new information.
     """
     recovered = recover_friends(victim, oracle, log=log)
-    neighbor_recovered: dict[str, FriendsFound] = {}
     mutuals: dict[tuple[str, str], frozenset[str]] = {}
     for friend in sorted(recovered.friends):
-        found = neighbor_recovered.get(friend)
-        if found is None:
-            found = recover_friends(friend, oracle, log=log)
-            neighbor_recovered[friend] = found
+        found = recover_friends(friend, oracle, log=log)
         for second in sorted(found.friends - {victim}):
             mutuals[(friend, second)] = oracle.mutual_friends(friend, second)
-    return TwoHopSurvey(
-        victim=victim,
-        recovered=recovered,
-        neighbor_recovered=neighbor_recovered,
-        mutuals=mutuals,
-    )
+    return TwoHopSurvey(victim=victim, recovered=recovered, mutuals=mutuals)
 
 
 def build_graph(survey: TwoHopSurvey) -> FriendshipGraph:

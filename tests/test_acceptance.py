@@ -299,10 +299,9 @@ def test_criterion_9_end_to_end_structure():
         seed=42,
     )
     victims = sorted(snap.users)[:8]
-    result = run_experiment(
+    report = run_experiment(
         snap, victims, Thresholds(Fraction(1, 50), Fraction(1, 2))
     )
-    report = result.report
     elapsed = time.perf_counter() - start
     agg = report["aggregate"]
     structure_ok = (

@@ -32,11 +32,30 @@ def test_generate_then_run_smoke(tmp_path, capsys):
 
 def test_run_missing_victim_names_id(tmp_path, capsys):
     snap = write_worked_example(tmp_path)
+    out = tmp_path / "o"
+    # "c1" is evaluated before "nobody"; a failed run still writes nothing.
     code = main(
-        ["run", "--snapshot", str(snap), "--victim", "nobody", "--out", str(tmp_path / "o")]
+        ["run", "--snapshot", str(snap), "--victim", "nobody", "--victim", "c1",
+         "--out", str(out)]
     )
     assert code != 0
     assert "nobody" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_budget_skips_victims_and_continues(tmp_path, capsys):
+    snap = tmp_path / "snap.json"
+    out = tmp_path / "out"
+    assert main(["generate", "--users", "30", "--seed", "7", "--out", str(snap)]) == 0
+    victims = ["u000", "u001", "u002"]
+    argv = ["run", "--snapshot", str(snap), "--budget", "5", "--out", str(out)]
+    assert main(argv + [arg for v in victims for arg in ("--victim", v)]) == 0
+    report = json.loads((out / "aggregate.json").read_text())
+    assert [doc["victim"] for doc in report["victims"]] == victims
+    for doc in report["victims"]:
+        assert doc["skip_reason"] == "budget exhausted"
+        assert doc["queries"] == 5
+        assert [p.name for p in (out / doc["victim"]).iterdir()] == ["report.json"]
 
 
 def test_evaluate_reported_aggregate(capsys):
@@ -160,4 +179,32 @@ def test_out_of_range_options_exit_2(tmp_path, capsys, command, flags):
     argv = [command, "--snapshot", str(snap), "--victim", "victim", "--out", str(out)]
     assert main(argv + flags) == 2
     assert capsys.readouterr().err.startswith(f"error ({command}): {flags[0]} ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, content",
+    [
+        ("generate", "--config", "{bad"),
+        ("generate", "--config", "[1, 2]"),
+        ("generate", "--config", '{"cities": [1]}'),
+        ("ingest", "--attrs", "{bad"),
+        ("ingest", "--attrs", "5"),
+        ("ingest", "--attrs", "[1]"),
+        ("evaluate", "--predictions", '[{"id": "a"}]'),
+    ],
+)
+def test_malformed_input_files_exit_2(tmp_path, capsys, command, flag, content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    edges = tmp_path / "edges.txt"
+    edges.write_text("a b\nb c\n")
+    out = tmp_path / "out.json"
+    argv = {
+        "generate": ["generate", "--users", "10", "--seed", "1", "--out", str(out)],
+        "ingest": ["ingest", "--edges", str(edges), "--seed", "1", "--out", str(out)],
+        "evaluate": ["evaluate"],
+    }[command]
+    assert main(argv + [flag, str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error ({command}): ")
     assert not out.exists()

@@ -131,8 +131,7 @@ def experiment_snapshot():
 def test_run_experiment_structure():
     snap = experiment_snapshot()
     victims = sorted(snap.users)[:4]
-    result = run_experiment(snap, victims, loose_thresholds())
-    report = result.report
+    report = run_experiment(snap, victims, loose_thresholds())
     assert len(report["victims"]) == 4
     agg = report["aggregate"]
     assert agg["victims_evaluated"] + agg["victims_skipped"] == 4
@@ -151,7 +150,7 @@ def test_run_experiment_deterministic():
     victims = sorted(snap.users)[:4]
     one = run_experiment(snap, victims, loose_thresholds())
     two = run_experiment(snap, victims, loose_thresholds())
-    assert json.dumps(one.report, sort_keys=True) == json.dumps(two.report, sort_keys=True)
+    assert json.dumps(one, sort_keys=True) == json.dumps(two, sort_keys=True)
 
 
 def test_run_experiment_skips_victims_without_recovery():
@@ -159,9 +158,40 @@ def test_run_experiment_skips_victims_without_recovery():
         GeneratorConfig(n_users=10, mean_degree=2.0, pictures_per_user=0), seed=1
     )
     victims = sorted(snap.users)[:3]
-    result = run_experiment(snap, victims, loose_thresholds())
-    assert all(r.skipped for r in result.victims)
-    assert result.report["aggregate"]["victims_skipped"] == 3
+    report = run_experiment(snap, victims, loose_thresholds())
+    assert len(report["victims"]) == 3
+    assert all(doc["skipped"] for doc in report["victims"])
+    assert report["aggregate"]["victims_skipped"] == 3
+
+
+def test_run_experiment_hands_each_victim_to_on_victim_once():
+    snap = experiment_snapshot()
+    victims = sorted(snap.users)[:5]
+    seen = []
+    report = run_experiment(
+        snap, victims[::-1] + victims[:2], loose_thresholds(),
+        on_victim=lambda result, doc: seen.append((result.victim, doc)),
+    )
+    assert [victim for victim, _ in seen] == victims
+    assert [doc for _, doc in seen] == report["victims"]
+
+
+@pytest.mark.parametrize("budget", [0, 60, 120, 200, 1000])
+def test_budgeted_victim_is_complete_or_skipped(budget):
+    snap = experiment_snapshot()
+    victims = sorted(snap.users)[:6]
+    unbudgeted = run_experiment(snap, victims, loose_thresholds())["victims"]
+    budgeted = run_experiment(
+        snap, victims, loose_thresholds(), ExperimentConfig(query_budget=budget)
+    )["victims"]
+    for doc, full in zip(budgeted, unbudgeted, strict=True):
+        if doc != full:
+            assert doc == {
+                "victim": full["victim"],
+                "skipped": True,
+                "skip_reason": "budget exhausted",
+                "queries": budget,
+            }
 
 
 def test_run_experiment_requires_victims(worked_example):
