@@ -15,7 +15,7 @@ from .model import (
     load_snapshot,
     load_snapshot_file,
 )
-from .oracle import ProfileAttributes, PublicView, QueryBudgetExceeded
+from .oracle import FEATURES, PublicView, QueryBudgetExceeded
 from .recover import FriendsFound, recover_friends
 from .twohop import (
     FriendshipGraph,
@@ -28,10 +28,7 @@ from .twohop import (
     two_hop_nodes,
 )
 from .attributes import (
-    AttributeRates,
-    FriendRecord,
     InferenceError,
-    RankedGuess,
     collect_friend_records,
     extract_rates,
     rank_guesses,

@@ -17,7 +17,6 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-from .attributes import FEATURES
 from .dotexport import graph_to_dot
 from .evaluate import (
     ConfusionMatrix,
@@ -35,7 +34,7 @@ from .model import (
     ingest_edge_list,
     load_snapshot_file,
 )
-from .oracle import OracleError, PublicView
+from .oracle import FEATURES, OracleError, PublicView
 from .scoring import CalibrationError, Thresholds, calibrate
 from .twohop import build_graph, collect_2hop, prune_single_edge
 
@@ -121,15 +120,15 @@ def _victim_files(result, victim_doc: dict) -> dict[str, str]:
     files["mutuals.json"] = _json_text(result.survey.mutuals_document())
     rate_rows = [
         [feature, label, f"{rate.numerator}/{rate.denominator}", _float_cell(rate)]
-        for feature in FEATURES
-        for label, rate in sorted(result.rates.table(feature).items())
+        for feature, table in result.rates.items()
+        for label, rate in sorted(table.items())
     ]
     files["rates.csv"] = _csv_text(["feature", "label", "rate_exact", "rate"], rate_rows)
     files["friends.csv"] = _csv_text(
-        ["source", "education", "hometown", "current_city"],
+        ["source", *FEATURES],
         [
-            [r.source, r.education or "", r.hometown or "", r.current_city or ""]
-            for r in result.friend_records
+            [friend, *(attrs.get(f, "") for f in FEATURES)]
+            for friend, attrs in result.friend_records.items()
         ],
     )
     files["scores.csv"] = _csv_text(
@@ -207,9 +206,14 @@ def cmd_evaluate(args) -> int:
         rows = _read_json(args.predictions)
         fields = {"id", "predicted", "actual"}
         if not isinstance(rows, list) or not all(
-            isinstance(row, dict) and fields <= row.keys() for row in rows
+            isinstance(row, dict)
+            and fields <= row.keys()
+            and not isinstance(row["id"], (list, dict))
+            for row in rows
         ):
-            raise EvaluationError(f"{args.predictions}: rows need id, predicted and actual")
+            raise EvaluationError(
+                f"{args.predictions}: rows need a scalar id, predicted and actual"
+            )
         predictions = {row["id"]: bool(row["predicted"]) for row in rows}
         truth = {row["id"]: bool(row["actual"]) for row in rows}
         matrix = confusion(predictions, truth)

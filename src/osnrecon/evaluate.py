@@ -13,9 +13,8 @@ from typing import Callable
 
 from .attributes import (
     FEATURES,
-    AttributeRates,
-    FriendRecord,
-    RankedGuess,
+    Ranking,
+    Rates,
     collect_friend_records,
     extract_rates,
     rank_guesses,
@@ -113,9 +112,9 @@ class VictimResult:
     survey: TwoHopSurvey | None = None
     graph: FriendshipGraph | None = None
     pruned_graph: FriendshipGraph | None = None
-    friend_records: list[FriendRecord] = field(default_factory=list)
-    rates: AttributeRates | None = None
-    rankings: dict[str, RankedGuess] = field(default_factory=dict)
+    friend_records: dict[str, dict[str, str]] = field(default_factory=dict)
+    rates: Rates | None = None
+    rankings: dict[str, Ranking] = field(default_factory=dict)
     scores: list[CandidateScore] = field(default_factory=list)
     pruned_candidates: list[str] = field(default_factory=list)
     matrix: ConfusionMatrix | None = None
@@ -187,9 +186,7 @@ def _attack(
     result.friend_records = collect_friend_records(recovered, oracle)
     result.rates = extract_rates(result.friend_records)
     result.rankings = rank_guesses(result.rates)
-    scored = score_candidates(
-        result.pruned_graph, result.rates, oracle, recovered.friends
-    )
+    scored = score_candidates(result.pruned_graph, result.rates, oracle)
     result.scores = classify(scored, thresholds)
 
     ground_friends = snapshot.users[victim].friends
@@ -223,18 +220,12 @@ def _victim_doc(result: VictimResult) -> dict:
                 "pruned_out": result.pruned_candidates,
             },
             "rates": {
-                feature: {
-                    label: _frac_doc(rate)
-                    for label, rate in sorted(result.rates.table(feature).items())
-                }
-                for feature in FEATURES
+                feature: {label: _frac_doc(rate) for label, rate in sorted(table.items())}
+                for feature, table in result.rates.items()
             },
             "rankings": {
-                feature: [
-                    [label, _frac_doc(rate)]
-                    for label, rate in result.rankings[feature].values
-                ]
-                for feature in FEATURES
+                feature: [[label, _frac_doc(rate)] for label, rate in ranking]
+                for feature, ranking in result.rankings.items()
             },
             "scores": [
                 {
@@ -273,7 +264,7 @@ def run_experiment(
         raise EvaluationError("no victims given")
     docs: list[dict] = []
     pooled = ConfusionMatrix()
-    guesses: dict[str, dict[str, RankedGuess]] = {}
+    guesses: dict[str, dict[str, Ranking]] = {}
     for victim in sorted(set(victims)):
         result = evaluate_victim(snapshot, victim, thresholds, config)
         doc = _victim_doc(result)

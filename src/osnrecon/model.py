@@ -13,8 +13,9 @@ generator, or an ingested edge list with synthesized activity.
 from __future__ import annotations
 
 import json
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class SnapshotError(Exception):
@@ -53,9 +54,6 @@ class Picture:
 class UserProfile:
     id: str
     friends: frozenset[str] = frozenset()
-    personal: dict = field(default_factory=dict)
-    pages_liked: frozenset[str] = frozenset()
-    groups: frozenset[str] = frozenset()
     pictures: frozenset[str] = frozenset()
     hometown: str | None = None
     current_city: str | None = None
@@ -126,12 +124,6 @@ class OsnSnapshot:
                 value = getattr(u, key)
                 if value is not None:
                     entry[key] = value
-            if u.personal:
-                entry["personal"] = dict(sorted(u.personal.items()))
-            if u.pages_liked:
-                entry["pages_liked"] = sorted(u.pages_liked)
-            if u.groups:
-                entry["groups"] = sorted(u.groups)
             users.append(entry)
         pictures = [
             {
@@ -155,6 +147,23 @@ def _require(doc: dict, key: str, kind: type, where: str):
     value = doc[key]
     if not isinstance(value, kind):
         raise SchemaError(f"{where}: field {key!r} must be {kind.__name__}")
+    return value
+
+
+def _id_set(doc: dict, key: str, where: str) -> frozenset[str]:
+    # Only an unhashable entry fails here; a non-string scalar id is left to
+    # validate(), which rejects it as an unknown user without a per-id check.
+    values = _require(doc, key, list, where)
+    try:
+        return frozenset(values)
+    except TypeError:
+        raise SchemaError(f"{where}: field {key!r} must be a list of strings") from None
+
+
+def _flag(doc: dict, key: str, default: bool, where: str) -> bool:
+    value = doc.get(key, default)
+    if not isinstance(value, bool):
+        raise SchemaError(f"{where}: privacy flag {key!r} must be true or false")
     return value
 
 
@@ -189,8 +198,8 @@ def load_snapshot(document: dict) -> OsnSnapshot:
             id=pid,
             owner=_require(pdoc, "owner", str, where),
             public=_require(pdoc, "public", bool, where),
-            likers=frozenset(_require(pdoc, "likers", list, where)),
-            commenters=frozenset(_require(pdoc, "commenters", list, where)),
+            likers=_id_set(pdoc, "likers", where),
+            commenters=_id_set(pdoc, "commenters", where),
         )
         owned.setdefault(pictures[pid].owner, set()).add(pid)
 
@@ -209,18 +218,15 @@ def load_snapshot(document: dict) -> OsnSnapshot:
             raise SchemaError(f"{where}: field 'privacy' must be an object")
         users[uid] = UserProfile(
             id=uid,
-            friends=frozenset(_require(udoc, "friends", list, where)),
-            personal=dict(udoc.get("personal", {})),
-            pages_liked=frozenset(udoc.get("pages_liked", [])),
-            groups=frozenset(udoc.get("groups", [])),
+            friends=_id_set(udoc, "friends", where),
             pictures=frozenset(owned.get(uid, set())),
             hometown=_opt_label(udoc, "hometown", where),
             current_city=_opt_label(udoc, "current_city", where),
             education=_opt_label(udoc, "education", where),
             high_school=_opt_label(udoc, "high_school", where),
             privacy=PrivacySettings(
-                friends_list_public=bool(privacy_doc.get("friends_list_public", False)),
-                attributes_public=bool(privacy_doc.get("attributes_public", True)),
+                friends_list_public=_flag(privacy_doc, "friends_list_public", False, where),
+                attributes_public=_flag(privacy_doc, "attributes_public", True, where),
             ),
         )
 
@@ -266,17 +272,25 @@ class GeneratorConfig:
     )
 
     def validate(self) -> None:
-        if self.n_users < 2:
-            raise SnapshotError(f"n_users must be >= 2, got {self.n_users}")
-        for name in (
+        probabilities = (
             "p_friend", "p_stranger", "p_picture_public", "p_friends_list_public",
             "p_attributes_public", "p_attribute_present", "homophily",
-        ):
+        )
+        for name in ("n_users", "pictures_per_user", "mean_degree", *probabilities):
+            value = getattr(self, name)
+            integral = name in ("n_users", "pictures_per_user")
+            kinds = int if integral else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                kind = "an integer" if integral else "a number"
+                raise SnapshotError(f"{name} must be {kind}, got {value!r}")
+        if self.n_users < 2:
+            raise SnapshotError(f"n_users must be >= 2, got {self.n_users}")
+        for name in probabilities:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise SnapshotError(f"{name} must be in [0, 1], got {value}")
-        if self.mean_degree < 0:
-            raise SnapshotError(f"mean_degree must be >= 0, got {self.mean_degree}")
+        if not 0 <= self.mean_degree < math.inf:
+            raise SnapshotError(f"mean_degree must be finite and >= 0, got {self.mean_degree}")
         if self.pictures_per_user < 0:
             raise SnapshotError("pictures_per_user must be >= 0")
 

@@ -7,7 +7,7 @@ exposes exactly the channels that leak in the platform being modelled:
   "friends since" banner regardless of friends-list privacy),
 * mutual friends of a pair (same page),
 * a user's public pictures with their engagement,
-* a user's attribute triple, only when attributes are public.
+* a user's filled-in attributes, only when attributes are public.
 
 Ground-truth friend sets are never returned directly. Every call is
 counted, and an optional budget turns rate limiting into a hard error.
@@ -15,9 +15,10 @@ counted, and an optional budget turns rate limiting into a hard error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import OsnSnapshot, Picture
+
+# The attributes a public profile can show, in artifact column order.
+FEATURES = ("education", "hometown", "current_city")
 
 
 class OracleError(Exception):
@@ -39,15 +40,6 @@ class QueryBudgetExceeded(OracleError):
     def __init__(self, budget: int):
         super().__init__(f"query budget of {budget} exhausted")
         self.budget = budget
-
-
-@dataclass(frozen=True)
-class ProfileAttributes:
-    """The publicly visible attribute triple; fields may be absent."""
-
-    education: str | None = None
-    hometown: str | None = None
-    current_city: str | None = None
 
 
 class PublicView:
@@ -99,16 +91,14 @@ class PublicView:
             if self._snapshot.pictures[pid].public
         ]
 
-    def public_attributes_of(self, user_id: str) -> ProfileAttributes | None:
+    def public_attributes_of(self, user_id: str) -> dict[str, str] | None:
+        """Feature -> label for the features the user filled in, or None
+        when the profile's attributes are private."""
         profile = self._profile(user_id)
         self._charge()
         if not profile.privacy.attributes_public:
             return None
-        return ProfileAttributes(
-            education=profile.education,
-            hometown=profile.hometown,
-            current_city=profile.current_city,
-        )
+        return {f: v for f in FEATURES if (v := getattr(profile, f)) is not None}
 
     def knows(self, user_id: str) -> bool:
         """Existence check; does not consume budget."""

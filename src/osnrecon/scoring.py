@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .attributes import FEATURES, AttributeRates
-from .oracle import ProfileAttributes, PublicView
+from .attributes import Rates
+from .oracle import PublicView
 from .twohop import FriendshipGraph, shared_edge_count, two_hop_nodes
 
 FRIEND = "FRIEND"
@@ -46,29 +46,22 @@ class CandidateScore:
     verdict: str | None = None
 
 
-def info_score(attrs: ProfileAttributes | None, rates: AttributeRates) -> Fraction:
+def info_score(attrs: dict[str, str] | None, rates: Rates) -> Fraction:
     """Average matching rate of the candidate's visible attributes."""
-    total = Fraction(0)
-    if attrs is not None:
-        for feature in FEATURES:
-            value = getattr(attrs, feature)
-            if value is not None:
-                total += rates.table(feature).get(value, Fraction(0))
-    return total / 3
+    return sum((rates[f].get(v, 0) for f, v in (attrs or {}).items()), Fraction(0)) / 3
 
 
 def score_candidates(
-    graph: FriendshipGraph,
-    rates: AttributeRates,
-    oracle: PublicView,
-    recovered_friends: frozenset[str],
+    graph: FriendshipGraph, rates: Rates, oracle: PublicView
 ) -> list[CandidateScore]:
-    """Score every retained 2-hop node that is not a recovered friend.
+    """Score every retained 2-hop node.
 
-    Edge scores are normalized by the pool's maximum shared-edge count;
-    a pool whose maximum is zero scores zero edges everywhere.
+    ``build_graph`` gives each recovered friend the ONE_HOP role, so no
+    2-hop node is a recovered friend. Edge scores are normalized by the
+    pool's maximum shared-edge count; a pool whose maximum is zero
+    scores zero edges everywhere.
     """
-    pool = [node for node in two_hop_nodes(graph) if node not in recovered_friends]
+    pool = two_hop_nodes(graph)
     counts = {node: shared_edge_count(graph, node) for node in pool}
     highest = max(counts.values(), default=0)
     scores = []

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from osnrecon import AttributeRates, OsnSnapshot, load_snapshot
+from osnrecon import OsnSnapshot, load_snapshot
 
 # Rate tables for the victim's 100 recovered friends. The percentage is
 # realized exactly as count/100.
@@ -149,16 +149,14 @@ def rates_from_percentages(
     education: dict[str, float],
     hometown: dict[str, float],
     current_city: dict[str, float],
-    denominator: int = 100,
-) -> AttributeRates:
+) -> dict[str, dict[str, Fraction]]:
     """Build a rate table directly from fractional rates."""
 
     def as_fractions(table: dict[str, float]) -> dict[str, Fraction]:
         return {label: Fraction(rate).limit_denominator(10**6) for label, rate in table.items()}
 
-    return AttributeRates(
-        education=as_fractions(education),
-        hometown=as_fractions(hometown),
-        current_city=as_fractions(current_city),
-        denominator=denominator,
-    )
+    return {
+        "education": as_fractions(education),
+        "hometown": as_fractions(hometown),
+        "current_city": as_fractions(current_city),
+    }

@@ -18,7 +18,7 @@ from osnrecon import (
     top_k_accuracy,
     top_within_k_accuracy,
 )
-from osnrecon.attributes import FEATURES, RankedGuess
+from osnrecon.attributes import FEATURES
 
 from helpers import VICTIM, worked_example_snapshot
 
@@ -48,8 +48,7 @@ def test_uniform_education():
         [{"id": f"f{i}", "education": "padua"} for i in range(4)]
     )
     rates = extract_rates(collect_friend_records(recovered(snap), PublicView(snap)))
-    assert rates.education == {"padua": Fraction(1)}
-    assert rates.denominator == 4
+    assert rates["education"] == {"padua": Fraction(1)}
 
 
 def test_private_friends_dilute_rates():
@@ -61,8 +60,8 @@ def test_private_friends_dilute_rates():
     ]
     snap = snapshot_with_friends(entries)
     rates = extract_rates(collect_friend_records(recovered(snap), PublicView(snap)))
-    assert rates.hometown == {"rome": Fraction(1, 2)}
-    assert sum(rates.hometown.values()) < 1
+    assert rates["hometown"] == {"rome": Fraction(1, 2)}
+    assert sum(rates["hometown"].values()) < 1
 
 
 def test_zero_recovered_friends_is_an_error():
@@ -75,38 +74,36 @@ def test_zero_recovered_friends_is_an_error():
 def test_worked_example_rates(worked_example):
     found = recover_friends(VICTIM, PublicView(worked_example))
     rates = extract_rates(collect_friend_records(found, PublicView(worked_example)))
-    assert rates.denominator == 100
-    assert rates.current_city == {
+    assert rates["current_city"] == {
         "padua": Fraction(27, 100),
         "bologna": Fraction(9, 100),
         "paris": Fraction(4, 100),
         "madrid": Fraction(2, 100),
     }
-    assert rates.hometown == {
+    assert rates["hometown"] == {
         "padua": Fraction(13, 100),
         "rome": Fraction(11, 100),
         "venice": Fraction(3, 100),
     }
-    assert rates.education == {"padua": Fraction(40, 100), "venice": Fraction(10, 100)}
+    assert rates["education"] == {"padua": Fraction(40, 100), "venice": Fraction(10, 100)}
 
 
 def test_worked_example_ranking(worked_example):
     found = recover_friends(VICTIM, PublicView(worked_example))
     rates = extract_rates(collect_friend_records(found, PublicView(worked_example)))
     ranking = rank_guesses(rates)
-    assert ranking["education"].at(1) == "padua"
-    assert ranking["education"].at(2) == "venice"
-    assert ranking["current_city"].at(1) == "padua"
-    assert ranking["hometown"].values[0] == ("padua", Fraction(13, 100))
+    assert ranking["education"][0][0] == "padua"
+    assert ranking["education"][1][0] == "venice"
+    assert ranking["current_city"][0][0] == "padua"
+    assert ranking["hometown"][0] == ("padua", Fraction(13, 100))
 
 
 def test_single_value_is_top_one():
     snap = snapshot_with_friends([{"id": "f0", "education": "rome"}])
     records = collect_friend_records(recovered(snap), PublicView(snap))
     ranking = rank_guesses(extract_rates(records))
-    assert ranking["education"].at(1) == "rome"
-    assert ranking["education"].at(2) is None
-    assert ranking["hometown"].values == ()
+    assert ranking["education"] == (("rome", Fraction(1)),)
+    assert ranking["hometown"] == ()
 
 
 def test_tie_broken_by_label_order():
@@ -116,24 +113,20 @@ def test_tie_broken_by_label_order():
     for _ in range(3):
         records = collect_friend_records(recovered(snap), PublicView(snap))
         ranking = rank_guesses(extract_rates(records))
-        assert ranking["hometown"].at(1) == "milan"
-        assert ranking["hometown"].at(2) == "rome"
+        assert [label for label, _ in ranking["hometown"]] == ["milan", "rome"]
 
 
-def _ranking(feature, labels):
-    return RankedGuess(
-        feature=feature,
-        values=tuple((label, Fraction(1, i + 2)) for i, label in enumerate(labels)),
-    )
+def _ranking(labels):
+    return tuple((label, Fraction(1, i + 2)) for i, label in enumerate(labels))
 
 
 def test_top_k_accuracy_hand_enumerated():
     # 4 targets; true education ranked 1st, 1st, 2nd, absent.
     guesses = {
-        "v1": {f: _ranking(f, ["padua", "rome"]) for f in FEATURES},
-        "v2": {f: _ranking(f, ["padua"]) for f in FEATURES},
-        "v3": {f: _ranking(f, ["rome", "padua"]) for f in FEATURES},
-        "v4": {f: _ranking(f, ["rome"]) for f in FEATURES},
+        "v1": {f: _ranking(["padua", "rome"]) for f in FEATURES},
+        "v2": {f: _ranking(["padua"]) for f in FEATURES},
+        "v3": {f: _ranking(["rome", "padua"]) for f in FEATURES},
+        "v4": {f: _ranking(["rome"]) for f in FEATURES},
     }
     truth = {v: {f: "padua" for f in FEATURES} for v in guesses}
     top1 = top_k_accuracy(guesses, truth, 1)
@@ -147,8 +140,8 @@ def test_top_k_accuracy_hand_enumerated():
 
 def test_top_k_skips_targets_without_truth():
     guesses = {
-        "v1": {f: _ranking(f, ["padua"]) for f in FEATURES},
-        "v2": {f: _ranking(f, ["rome"]) for f in FEATURES},
+        "v1": {f: _ranking(["padua"]) for f in FEATURES},
+        "v2": {f: _ranking(["rome"]) for f in FEATURES},
     }
     truth = {"v1": {f: "padua" for f in FEATURES}, "v2": {f: None for f in FEATURES}}
     top1 = top_k_accuracy(guesses, truth, 1)
@@ -179,12 +172,11 @@ def test_rate_mass_invariant(seed, n):
     rates = extract_rates(collect_friend_records(found, view))
     total = len(found.friends)
     for feature in FEATURES:
-        table = rates.table(feature)
+        table = rates[feature]
         visible = sum(
             1
             for friend in found.friends
-            if (attrs := view.public_attributes_of(friend)) is not None
-            and getattr(attrs, feature) is not None
+            if feature in (view.public_attributes_of(friend) or {})
         )
         assert sum(table.values(), Fraction(0)) == Fraction(visible, total)
         assert all(rate > 0 for rate in table.values())

@@ -188,10 +188,20 @@ def test_out_of_range_options_exit_2(tmp_path, capsys, command, flags):
         ("generate", "--config", "{bad"),
         ("generate", "--config", "[1, 2]"),
         ("generate", "--config", '{"cities": [1]}'),
+        ("generate", "--config", '{"n_users": "x"}'),
+        ("generate", "--config", '{"n_users": 2.5}'),
+        ("generate", "--config", '{"mean_degree": null}'),
+        ("generate", "--config", '{"mean_degree": NaN}'),
         ("ingest", "--attrs", "{bad"),
         ("ingest", "--attrs", "5"),
         ("ingest", "--attrs", "[1]"),
         ("evaluate", "--predictions", '[{"id": "a"}]'),
+        ("evaluate", "--predictions", '[{"id": [1], "predicted": true, "actual": true}]'),
+        ("run", "--snapshot", '{"users": [{"id": "a", "friends": [],'
+         ' "privacy": {"attributes_public": "false"}}]}'),
+        ("run", "--snapshot", '{"users": [{"id": "a", "friends": [["b"]]}]}'),
+        ("run", "--snapshot", '{"users": [{"id": "a", "friends": []}], "pictures": [{"id": "p",'
+         ' "owner": "a", "public": true, "likers": [["x"]], "commenters": []}]}'),
     ],
 )
 def test_malformed_input_files_exit_2(tmp_path, capsys, command, flag, content):
@@ -201,9 +211,10 @@ def test_malformed_input_files_exit_2(tmp_path, capsys, command, flag, content):
     edges.write_text("a b\nb c\n")
     out = tmp_path / "out.json"
     argv = {
-        "generate": ["generate", "--users", "10", "--seed", "1", "--out", str(out)],
+        "generate": ["generate", "--seed", "1", "--out", str(out)],
         "ingest": ["ingest", "--edges", str(edges), "--seed", "1", "--out", str(out)],
         "evaluate": ["evaluate"],
+        "run": ["run", "--victim", "a", "--out", str(out)],
     }[command]
     assert main(argv + [flag, str(bad)]) == 2
     assert capsys.readouterr().err.startswith(f"error ({command}): ")

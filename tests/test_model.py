@@ -85,6 +85,12 @@ class TestLoadSnapshot:
         with pytest.raises(SchemaError):
             load_snapshot(doc)
 
+    def test_unread_profile_keys_are_ignored(self):
+        doc = minimal_document()
+        doc["users"][0].update(personal={"age": 30}, pages_liked=["x"], groups=["g"])
+        snap = load_snapshot(doc)
+        assert snap.to_document() == load_snapshot(minimal_document()).to_document()
+
     def test_worked_example_fixture_loads(self):
         snap = load_snapshot(worked_example_document())
         assert len(snap.users) == 1 + 100 + 4

@@ -70,8 +70,7 @@ def test_attributes_respect_privacy():
     view = PublicView(two_user_snapshot())
     assert view.public_attributes_of("b") is None
     attrs = view.public_attributes_of("a")
-    assert attrs.hometown == "rome"
-    assert attrs.education is None
+    assert attrs == {"hometown": "rome"}
 
 
 def test_exhaustive_pairwise_adjacency():

@@ -8,7 +8,6 @@ from osnrecon import (
     NOT_FRIEND,
     CalibrationError,
     CandidateScore,
-    ProfileAttributes,
     PublicView,
     Thresholds,
     build_graph,
@@ -35,19 +34,19 @@ def table_rates():
 
 
 def test_info_score_all_three_match():
-    attrs = ProfileAttributes(education="padua", hometown="padua", current_city="padua")
+    attrs = {"education": "padua", "hometown": "padua", "current_city": "padua"}
     score = info_score(attrs, table_rates())
     assert score == Fraction(80, 300)
     assert abs(float(score) - 0.266) <= 0.001
 
 
 def test_info_score_single_match():
-    attrs = ProfileAttributes(hometown="venice")
+    attrs = {"hometown": "venice"}
     assert info_score(attrs, table_rates()) == Fraction(3, 300)
 
 
 def test_info_score_value_missing_from_tables():
-    attrs = ProfileAttributes(education="venice", current_city="venice")
+    attrs = {"education": "venice", "current_city": "venice"}
     # current_city "venice" is not in the rates; only education counts.
     assert info_score(attrs, table_rates()) == Fraction(10, 300)
 
@@ -61,7 +60,7 @@ def full_pipeline_scores(snapshot):
     found = recover_friends(VICTIM, view)
     graph = prune_single_edge(build_graph(collect_2hop(VICTIM, view)))
     rates = extract_rates(collect_friend_records(found, view))
-    return score_candidates(graph, rates, view, found.friends)
+    return score_candidates(graph, rates, view)
 
 
 def test_worked_example_scores(worked_example):

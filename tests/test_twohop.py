@@ -197,6 +197,7 @@ def test_graph_soundness_property(seed, n):
     graph = build_graph(collect_2hop(victim, PublicView(snap)))
     truth = snap.friendship_edges()
     assert graph.edges <= truth
+    assert set(two_hop_nodes(graph)).isdisjoint(graph.one_hop)
     pruned = prune_single_edge(graph)
     single = {
         node
