@@ -209,13 +209,14 @@ def cmd_evaluate(args) -> int:
             isinstance(row, dict)
             and fields <= row.keys()
             and not isinstance(row["id"], (list, dict))
+            and isinstance(row["predicted"], bool) and isinstance(row["actual"], bool)
             for row in rows
         ):
             raise EvaluationError(
-                f"{args.predictions}: rows need a scalar id, predicted and actual"
+                f"{args.predictions}: rows need a scalar id and boolean predicted and actual"
             )
-        predictions = {row["id"]: bool(row["predicted"]) for row in rows}
-        truth = {row["id"]: bool(row["actual"]) for row in rows}
+        predictions = {row["id"]: row["predicted"] for row in rows}
+        truth = {row["id"]: row["actual"] for row in rows}
         matrix = confusion(predictions, truth)
     elif None not in (args.tn, args.fp, args.fn, args.tp):
         matrix = ConfusionMatrix(tn=args.tn, fp=args.fp, fn=args.fn, tp=args.tp)

@@ -72,15 +72,27 @@ class PublicView:
             raise IdenticalIdsError(a)
         return self._profile(a), self._profile(b)
 
+    # The pair channels are the hottest calls of a survey, so their
+    # success path is inlined; ``_pair`` runs only to raise the error.
     def are_friends(self, a: str, b: str) -> bool:
-        pa, _ = self._pair(a, b)
-        self._charge()
+        users = self._snapshot.users
+        pa, pb = users.get(a), users.get(b)
+        if pa is None or pb is None or a == b:
+            self._pair(a, b)
+        if self._budget is not None and self._count >= self._budget:
+            raise QueryBudgetExceeded(self._budget)
+        self._count += 1
         return b in pa.friends
 
     def mutual_friends(self, a: str, b: str) -> frozenset[str]:
-        pa, pb = self._pair(a, b)
-        self._charge()
-        return frozenset((pa.friends & pb.friends) - {a, b})
+        users = self._snapshot.users
+        pa, pb = users.get(a), users.get(b)
+        if pa is None or pb is None or a == b:
+            self._pair(a, b)
+        if self._budget is not None and self._count >= self._budget:
+            raise QueryBudgetExceeded(self._budget)
+        self._count += 1
+        return (pa.friends & pb.friends) - {a, b}
 
     def public_pictures_of(self, user_id: str) -> list[Picture]:
         profile = self._profile(user_id)

@@ -85,31 +85,33 @@ def build_graph(survey: TwoHopSurvey) -> FriendshipGraph:
     edges are verified during recovery, friend-to-second-hop edges come
     from recovery on the friend, and mutual-friend edges come from the
     oracle. Edges are inserted even when both endpoints already exist,
-    so the graph carries every fact the survey established. A node keeps
-    the role it first gets in the survey's (sorted) pair order; a 2-hop
-    node is TWO_HOP_SINGLE_EDGE exactly when its shared-edge count is 1.
+    so the graph carries every fact the survey established. Edges go in
+    set-at-a-time and one side only, then one pass makes ``adj``
+    symmetric. A node keeps the role it first gets in the survey's
+    (sorted) pair order; a 2-hop node is TWO_HOP_SINGLE_EDGE exactly
+    when its shared-edge count is 1.
     """
     victim = survey.victim
-    roles = {victim: Role.VICTIM}
-    adj: dict[str, set[str]] = {victim: set()}
-
-    def link(a: str, b: str) -> None:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-
-    for friend in survey.recovered.friends:
-        roles[friend] = Role.ONE_HOP
-        link(victim, friend)
-    for (friend, second), common_friends in survey.mutuals.items():
-        roles.setdefault(second, Role.TWO_HOP_RELEVANT)
-        link(friend, second)
-        for common in common_friends:
-            roles.setdefault(common, Role.COMMON_FRIEND)
-            link(friend, common)
-            link(common, second)
-    graph = FriendshipGraph(
-        victim=victim, roles=roles, adj=adj, one_hop=survey.recovered.friends
-    )
+    one_hop = survey.recovered.friends
+    roles = {victim: Role.VICTIM, **dict.fromkeys(one_hop, Role.ONE_HOP)}
+    adj: dict[str, set[str]] = {victim: set(one_hop)}
+    for friend in one_hop:
+        adj[friend] = {victim}
+    for (friend, second), commons in survey.mutuals.items():
+        if second not in roles:
+            roles[second] = Role.TWO_HOP_RELEVANT
+            adj[second] = set()
+        # difference(roles) probes the common ids, not every key of roles
+        if new := commons.difference(roles):
+            roles.update(dict.fromkeys(new, Role.COMMON_FRIEND))
+            adj.update({common: set() for common in new})
+        adj[friend] |= commons
+        adj[friend].add(second)
+        adj[second] |= commons
+    for a, near in adj.items():  # add the missing side of each edge
+        for b in near:
+            adj[b].add(a)
+    graph = FriendshipGraph(victim=victim, roles=roles, adj=adj, one_hop=one_hop)
     for node, role in roles.items():
         if role == Role.TWO_HOP_RELEVANT and shared_edge_count(graph, node) == 1:
             roles[node] = Role.TWO_HOP_SINGLE_EDGE

@@ -4,8 +4,9 @@ oracles kept independent of the library code they check."""
 from __future__ import annotations
 
 from fractions import Fraction
+from types import SimpleNamespace
 
-from osnrecon import OsnSnapshot, load_snapshot
+from osnrecon import OsnSnapshot, Role, TwoHopSurvey, load_snapshot
 
 # Rate tables for the victim's 100 recovered friends. The percentage is
 # realized exactly as count/100.
@@ -132,6 +133,41 @@ def brute_shared_edges(snapshot: OsnSnapshot, one_hop: set[str], node: str) -> i
     """Independent shared-edge oracle: ground-truth friends of ``node``
     restricted to the recovered 1-hop set."""
     return len(set(snapshot.users[node].friends) & one_hop)
+
+
+def reference_graph(survey: TwoHopSurvey) -> SimpleNamespace:
+    """Independent 2-hop graph builder: inserts one undirected edge at a
+    time (victim-friend, friend-second, friend-common, common-second) and
+    gives each node the first role it meets in survey order. A 2-hop node
+    whose brute-force count of recovered-friend neighbours is 1 is
+    TWO_HOP_SINGLE_EDGE. Returns ``roles`` and ``adj``."""
+    roles: dict[str, Role] = {survey.victim: Role.VICTIM}
+    adj: dict[str, set[str]] = {survey.victim: set()}
+
+    def meet(node: str, role: Role) -> None:
+        if node not in roles:
+            roles[node] = role
+        adj.setdefault(node, set())
+
+    def edge(a: str, b: str) -> None:
+        adj[a].add(b)
+        adj[b].add(a)
+
+    for friend in sorted(survey.recovered.friends):
+        meet(friend, Role.ONE_HOP)
+        edge(survey.victim, friend)
+    for (friend, second), commons in survey.mutuals.items():
+        meet(second, Role.TWO_HOP_RELEVANT)
+        edge(friend, second)
+        for common in sorted(commons):
+            meet(common, Role.COMMON_FRIEND)
+            edge(friend, common)
+            edge(common, second)
+    for node, role in roles.items():
+        shared = sum(1 for near in adj[node] if near in survey.recovered.friends)
+        if role == Role.TWO_HOP_RELEVANT and shared == 1:
+            roles[node] = Role.TWO_HOP_SINGLE_EDGE
+    return SimpleNamespace(roles=roles, adj=adj)
 
 
 def engaged_users(snapshot: OsnSnapshot, owner: str) -> set[str]:

@@ -197,6 +197,8 @@ def test_out_of_range_options_exit_2(tmp_path, capsys, command, flags):
         ("ingest", "--attrs", "[1]"),
         ("evaluate", "--predictions", '[{"id": "a"}]'),
         ("evaluate", "--predictions", '[{"id": [1], "predicted": true, "actual": true}]'),
+        ("evaluate", "--predictions", '[{"id": "a", "predicted": "false", "actual": false}]'),
+        ("evaluate", "--predictions", '[{"id": "a", "predicted": true, "actual": 1}]'),
         ("run", "--snapshot", '{"users": [{"id": "a", "friends": [],'
          ' "privacy": {"attributes_public": "false"}}]}'),
         ("run", "--snapshot", '{"users": [{"id": "a", "friends": [["b"]]}]}'),

@@ -194,6 +194,46 @@ def test_budgeted_victim_is_complete_or_skipped(budget):
             }
 
 
+CHANNELS = ("are_friends", "mutual_friends", "public_pictures_of", "public_attributes_of")
+
+
+def _logged(name):
+    original = getattr(PublicView, name)
+
+    def channel(self, *args):
+        self.calls.append((name, args))
+        return original(self, *args)
+
+    return channel
+
+
+@pytest.mark.parametrize(
+    "snapshot",
+    [
+        experiment_snapshot,
+        lambda: generate_synthetic(GeneratorConfig(n_users=60, mean_degree=8.0), seed=3),
+    ],
+)
+def test_queries_equal_channel_calls_and_none_repeats(snapshot, monkeypatch):
+    views = []
+
+    class LoggingView(PublicView):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.calls = []  # (channel, args), one per channel call
+            views.append(self)
+
+    for name in CHANNELS:
+        setattr(LoggingView, name, _logged(name))
+    monkeypatch.setattr("osnrecon.evaluate.PublicView", LoggingView)
+    snap = snapshot()
+    report = run_experiment(snap, sorted(snap.users), loose_thresholds())
+    assert any(not doc["skipped"] for doc in report["victims"])
+    for view, doc in zip(views, report["victims"], strict=True):
+        assert doc["queries"] == len(view.calls)
+        assert len(set(view.calls)) == len(view.calls)
+
+
 def test_run_experiment_requires_victims(worked_example):
     with pytest.raises(EvaluationError):
         run_experiment(worked_example, [], loose_thresholds())

@@ -132,3 +132,44 @@ def test_counter_is_atomic_under_threads():
     for t in threads:
         t.join()
     assert view.query_count == 8 * 200
+
+
+PAIR_CHANNELS = ("are_friends", "mutual_friends")
+
+
+@pytest.mark.parametrize("channel", PAIR_CHANNELS)
+@pytest.mark.parametrize(
+    "pair, error, user_id",
+    [
+        (("ghost", "ghost"), IdenticalIdsError, None),
+        (("a", "a"), IdenticalIdsError, None),
+        (("ghost1", "ghost2"), UnknownUserError, "ghost1"),
+        (("a", "ghost"), UnknownUserError, "ghost"),
+        (("ghost", "a"), UnknownUserError, "ghost"),
+    ],
+)
+def test_pair_channel_errors_charge_nothing(channel, pair, error, user_id):
+    view = PublicView(two_user_snapshot(), budget=1)
+    with pytest.raises(error) as raised:
+        getattr(view, channel)(*pair)
+    if user_id is not None:
+        assert raised.value.user_id == user_id
+    assert view.query_count == 0
+    getattr(view, channel)("a", "b")  # the one budgeted query is still there
+    assert view.query_count == 1
+
+
+@pytest.mark.parametrize("channel", PAIR_CHANNELS)
+def test_pair_channel_past_budget(channel):
+    view = PublicView(two_user_snapshot(), budget=2)
+    getattr(view, channel)("a", "b")
+    getattr(view, channel)("a", "c")
+    with pytest.raises(QueryBudgetExceeded):
+        getattr(view, channel)("b", "c")
+    assert view.query_count == 2
+
+
+def test_mutual_friends_returns_frozenset():
+    view = PublicView(two_user_snapshot())
+    assert type(view.mutual_friends("a", "b")) is frozenset
+    assert type(view.mutual_friends("b", "c")) is frozenset

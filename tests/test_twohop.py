@@ -15,7 +15,13 @@ from osnrecon import (
     two_hop_nodes,
 )
 
-from helpers import VICTIM, brute_mutual_friends, brute_shared_edges, engaged_users
+from helpers import (
+    VICTIM,
+    brute_mutual_friends,
+    brute_shared_edges,
+    engaged_users,
+    reference_graph,
+)
 
 
 def full_engagement_config(n=20, degree=4.0):
@@ -207,3 +213,23 @@ def test_graph_soundness_property(seed, n):
     assert set(graph.roles) - set(pruned.roles) == single
     again = prune_single_edge(pruned)
     assert again.roles == pruned.roles and again.edges == pruned.edges
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    shape=st.one_of(
+        st.tuples(st.integers(3, 12), st.just(3.0)),
+        # Dense: most survey pairs have several common friends, where
+        # set-at-a-time insertion differs most from one edge at a time.
+        st.tuples(st.integers(12, 20), st.floats(8.0, 11.0)),
+    ),
+)
+def test_build_graph_matches_reference(seed, shape):
+    n, degree = shape
+    snap = generate_synthetic(full_engagement_config(n=n, degree=degree), seed)
+    survey = collect_2hop(sorted(snap.users)[seed % n], PublicView(snap))
+    graph = build_graph(survey)
+    ref = reference_graph(survey)
+    assert graph.roles == ref.roles
+    assert graph.adj == ref.adj
