@@ -6,7 +6,6 @@ from .model import (
     IntegrityError,
     OsnSnapshot,
     Picture,
-    PrivacySettings,
     SchemaError,
     SnapshotError,
     UserProfile,

@@ -70,7 +70,7 @@ def _read_json(path):
     with open(path, encoding="utf-8") as handle:
         try:
             return json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise UsageError(f"{path}: invalid JSON ({exc})") from exc
 
 
@@ -101,7 +101,10 @@ def cmd_generate(args) -> int:
 
 def cmd_ingest(args) -> int:
     with open(args.edges, encoding="utf-8") as handle:
-        lines = handle.readlines()
+        try:
+            lines = handle.readlines()
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{args.edges}: not UTF-8 text ({exc})") from exc
     attribute_rows = _read_json(args.attrs) if args.attrs else None
     snapshot = ingest_edge_list(
         lines, _generator_config(args), seed=args.seed, attribute_rows=attribute_rows
@@ -325,14 +328,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_ranges(args) -> None:
-    """Reject out-of-range thresholds and budgets before any work starts."""
+    """Reject out-of-range thresholds, budgets and confusion counts before
+    any work starts."""
     for flag in ("best_info", "best_edges"):
         value = getattr(args, flag, None)
         if value is not None and not 0 <= value <= 1:
             raise UsageError(f"--{flag.replace('_', '-')} {value} outside [0, 1]")
-    budget = getattr(args, "budget", None)
-    if budget is not None and budget < 0:
-        raise UsageError(f"--budget {budget} is negative")
+    for flag in ("budget", "tn", "fp", "fn", "tp"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            raise UsageError(f"--{flag} {value} is negative")
 
 
 def main(argv=None) -> int:

@@ -12,7 +12,6 @@ from fractions import Fraction
 from typing import Callable
 
 from .attributes import (
-    FEATURES,
     Ranking,
     Rates,
     collect_friend_records,
@@ -215,7 +214,7 @@ def _victim_doc(result: VictimResult) -> dict:
             "candidates_checked": result.survey.recovered.candidates_checked,
             "graph": {
                 "nodes": len(result.graph.roles),
-                "edges": len(result.graph.edges),
+                "edges": sum(map(len, result.graph.adj.values())) // 2,
                 "two_hop": len(two_hop_nodes(result.graph)),
                 "pruned_out": result.pruned_candidates,
             },
@@ -308,13 +307,7 @@ def run_experiment(
             "metrics_mean_rounded": _metrics_doc(metrics(rounded)),
         }
 
-        truth = {
-            victim: {
-                feature: getattr(snapshot.users[victim], feature)
-                for feature in FEATURES
-            }
-            for victim in guesses
-        }
+        truth = {victim: snapshot.users[victim].attributes for victim in guesses}
         report["attribute_accuracy"] = {
             "top1": {f: _frac_doc(v) for f, v in top_k_accuracy(guesses, truth, 1).items()},
             "top2": {f: _frac_doc(v) for f, v in top_k_accuracy(guesses, truth, 2).items()},

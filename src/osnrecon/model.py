@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class SnapshotError(Exception):
@@ -35,10 +35,15 @@ def canonical(label: str) -> str:
     return label.strip().casefold()
 
 
-@dataclass(frozen=True)
-class PrivacySettings:
-    friends_list_public: bool = False
-    attributes_public: bool = True
+# Each stored profile attribute with the GeneratorConfig vocabulary its
+# generated labels are drawn from. The generator draws them in this order,
+# so reordering the table changes same-seed snapshots.
+ATTRIBUTES = {
+    "hometown": "cities",
+    "current_city": "cities",
+    "education": "schools",
+    "high_school": "schools",
+}
 
 
 @dataclass(frozen=True)
@@ -55,16 +60,21 @@ class UserProfile:
     id: str
     friends: frozenset[str] = frozenset()
     pictures: frozenset[str] = frozenset()
-    hometown: str | None = None
-    current_city: str | None = None
-    education: str | None = None
-    high_school: str | None = None
-    privacy: PrivacySettings = PrivacySettings()
+    # attribute -> canonical label, only for the attributes filled in
+    attributes: dict[str, str] = field(default_factory=dict)
+    friends_list_public: bool = False
+    attributes_public: bool = True
 
 
 @dataclass(frozen=True)
 class OsnSnapshot:
-    """Immutable ground-truth snapshot. Safe for concurrent reads."""
+    """Ground-truth snapshot.
+
+    The dataclasses are frozen, but ``users``, ``pictures`` and each
+    profile's ``attributes`` are plain dicts. Nothing in the package
+    writes to them after the snapshot is built, and the oracle hands out
+    copies, never the stored dicts.
+    """
 
     users: dict[str, UserProfile]
     pictures: dict[str, Picture]
@@ -116,14 +126,11 @@ class OsnSnapshot:
                 "id": uid,
                 "friends": sorted(u.friends),
                 "privacy": {
-                    "friends_list_public": u.privacy.friends_list_public,
-                    "attributes_public": u.privacy.attributes_public,
+                    "friends_list_public": u.friends_list_public,
+                    "attributes_public": u.attributes_public,
                 },
+                **u.attributes,
             }
-            for key in ("hometown", "current_city", "education", "high_school"):
-                value = getattr(u, key)
-                if value is not None:
-                    entry[key] = value
             users.append(entry)
         pictures = [
             {
@@ -220,14 +227,13 @@ def load_snapshot(document: dict) -> OsnSnapshot:
             id=uid,
             friends=_id_set(udoc, "friends", where),
             pictures=frozenset(owned.get(uid, set())),
-            hometown=_opt_label(udoc, "hometown", where),
-            current_city=_opt_label(udoc, "current_city", where),
-            education=_opt_label(udoc, "education", where),
-            high_school=_opt_label(udoc, "high_school", where),
-            privacy=PrivacySettings(
-                friends_list_public=_flag(privacy_doc, "friends_list_public", False, where),
-                attributes_public=_flag(privacy_doc, "attributes_public", True, where),
-            ),
+            attributes={
+                key: label
+                for key in ATTRIBUTES
+                if (label := _opt_label(udoc, key, where)) is not None
+            },
+            friends_list_public=_flag(privacy_doc, "friends_list_public", False, where),
+            attributes_public=_flag(privacy_doc, "attributes_public", True, where),
         )
 
     snapshot = OsnSnapshot(users=users, pictures=pictures)
@@ -239,7 +245,7 @@ def load_snapshot_file(path) -> OsnSnapshot:
     with open(path, encoding="utf-8") as handle:
         try:
             document = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
     return load_snapshot(document)
 
@@ -331,24 +337,17 @@ def _assign_attributes(
     adjacency: dict[str, set[str]],
     config: GeneratorConfig,
     rng: random.Random,
-) -> dict[str, dict[str, str | None]]:
-    features = {
-        "hometown": config.cities,
-        "current_city": config.cities,
-        "education": config.schools,
-        "high_school": config.schools,
-    }
-    assigned: dict[str, dict[str, str | None]] = {uid: {} for uid in ids}
+) -> dict[str, dict[str, str]]:
+    assigned: dict[str, dict[str, str]] = {uid: {} for uid in ids}
     for uid in ids:
-        for feature, vocab in features.items():
+        friends = sorted(adjacency[uid])
+        for feature, vocab_name in ATTRIBUTES.items():
+            vocab = getattr(config, vocab_name)
             if not vocab or rng.random() >= config.p_attribute_present:
-                assigned[uid][feature] = None
                 continue
             # Homophily: prefer copying from an already-labelled friend.
             friend_values = [
-                assigned[fid][feature]
-                for fid in sorted(adjacency[uid])
-                if feature in assigned[fid] and assigned[fid][feature] is not None
+                assigned[fid][feature] for fid in friends if feature in assigned[fid]
             ]
             if friend_values and rng.random() < config.homophily:
                 assigned[uid][feature] = rng.choice(friend_values)
@@ -360,17 +359,17 @@ def _assign_attributes(
 def _synthesize_activity(
     ids: list[str],
     adjacency: dict[str, set[str]],
-    attributes: dict[str, dict[str, str | None]],
+    attributes: dict[str, dict[str, str]],
     config: GeneratorConfig,
     rng: random.Random,
 ) -> OsnSnapshot:
     """Assemble a snapshot from a fixed friendship graph plus generated
     privacy flags, pictures, and engagement."""
     privacy = {
-        uid: PrivacySettings(
-            friends_list_public=rng.random() < config.p_friends_list_public,
-            attributes_public=rng.random() < config.p_attributes_public,
-        )
+        uid: {
+            "friends_list_public": rng.random() < config.p_friends_list_public,
+            "attributes_public": rng.random() < config.p_attributes_public,
+        }
         for uid in ids
     }
 
@@ -402,11 +401,8 @@ def _synthesize_activity(
             id=uid,
             friends=frozenset(adjacency[uid]),
             pictures=frozenset(owned[uid]),
-            hometown=attributes[uid].get("hometown"),
-            current_city=attributes[uid].get("current_city"),
-            education=attributes[uid].get("education"),
-            high_school=attributes[uid].get("high_school"),
-            privacy=privacy[uid],
+            attributes=attributes[uid],
+            **privacy[uid],
         )
         for uid in ids
     }
@@ -463,15 +459,14 @@ def ingest_edge_list(
         raise SnapshotError("edge list must mention at least two users")
 
     ids = sorted(adjacency)
-    attributes: dict[str, dict[str, str | None]] = {uid: {} for uid in ids}
-    valid_features = {"hometown", "current_city", "education", "high_school"}
+    attributes: dict[str, dict[str, str]] = {uid: {} for uid in ids}
     if attribute_rows is not None and not isinstance(attribute_rows, list):
         raise SchemaError("attribute rows must be a JSON array")
     for row in attribute_rows or []:
         uid = _require(row, "id", str, "attribute row")
         feature = _require(row, "feature", str, "attribute row")
         value = canonical(_require(row, "value", str, "attribute row"))
-        if feature not in valid_features:
+        if feature not in ATTRIBUTES:
             raise SchemaError(f"attribute row for {uid!r}: unknown feature {feature!r}")
         if uid not in attributes:
             raise IntegrityError(f"attribute row references unknown user {uid!r}")

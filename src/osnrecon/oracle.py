@@ -108,9 +108,10 @@ class PublicView:
         when the profile's attributes are private."""
         profile = self._profile(user_id)
         self._charge()
-        if not profile.privacy.attributes_public:
+        if not profile.attributes_public:
             return None
-        return {f: v for f in FEATURES if (v := getattr(profile, f)) is not None}
+        stored = profile.attributes
+        return {f: stored[f] for f in FEATURES if f in stored}
 
     def knows(self, user_id: str) -> bool:
         """Existence check; does not consume budget."""

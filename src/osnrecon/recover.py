@@ -9,7 +9,6 @@ no false positives; recall is bounded by how many real friends engaged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .oracle import PublicView
 
@@ -21,16 +20,11 @@ class FriendsFound:
     candidates_checked: int
 
 
-def recover_friends(
-    target: str,
-    oracle: PublicView,
-    log: Callable[[str], None] | None = None,
-) -> FriendsFound:
+def recover_friends(target: str, oracle: PublicView) -> FriendsFound:
     """Recover the target's friends visible through picture engagement.
 
     Candidates are verified in sorted id order so that query-budget
-    accounting is reproducible. ``log`` receives one line per verified
-    friend.
+    accounting is reproducible.
     """
     candidates: set[str] = set()
     for picture in oracle.public_pictures_of(target):
@@ -38,11 +32,9 @@ def recover_friends(
     candidates.discard(target)
 
     friends: set[str] = set()
-    for index, candidate in enumerate(sorted(candidates), start=1):
+    for candidate in sorted(candidates):
         if oracle.are_friends(candidate, target):
             friends.add(candidate)
-            if log is not None:
-                log(f"FRIEND FOUND -- {index} {candidate} ({candidate})")
     return FriendsFound(
         target=target,
         friends=frozenset(friends),

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 from .oracle import PublicView
 from .recover import FriendsFound, recover_friends
@@ -57,11 +56,7 @@ class FriendshipGraph:
         return b in self.adj.get(a, ())
 
 
-def collect_2hop(
-    victim: str,
-    oracle: PublicView,
-    log: Callable[[str], None] | None = None,
-) -> TwoHopSurvey:
+def collect_2hop(victim: str, oracle: PublicView) -> TwoHopSurvey:
     """Run recovery on the victim and each recovered friend, and map the
     mutual friends of every (friend, friend-of-friend) pair.
 
@@ -69,10 +64,10 @@ def collect_2hop(
     Entries for the victim itself are skipped: a pair (friend, victim)
     carries no new information.
     """
-    recovered = recover_friends(victim, oracle, log=log)
+    recovered = recover_friends(victim, oracle)
     mutuals: dict[tuple[str, str], frozenset[str]] = {}
     for friend in sorted(recovered.friends):
-        found = recover_friends(friend, oracle, log=log)
+        found = recover_friends(friend, oracle)
         for second in sorted(found.friends - {victim}):
             mutuals[(friend, second)] = oracle.mutual_friends(friend, second)
     return TwoHopSurvey(victim=victim, recovered=recovered, mutuals=mutuals)

@@ -204,11 +204,17 @@ def test_out_of_range_options_exit_2(tmp_path, capsys, command, flags):
         ("run", "--snapshot", '{"users": [{"id": "a", "friends": [["b"]]}]}'),
         ("run", "--snapshot", '{"users": [{"id": "a", "friends": []}], "pictures": [{"id": "p",'
          ' "owner": "a", "public": true, "likers": [["x"]], "commenters": []}]}'),
+        # Bytes that are not UTF-8.
+        ("generate", "--config", b'{"cities": ["\xff"]}'),
+        ("ingest", "--attrs", b"\xfe\xff[]"),
+        ("ingest", "--edges", b"a b\nb \xe9\n"),
+        ("evaluate", "--predictions", b"[\x80]"),
+        ("run", "--snapshot", b'{"users": [{"id": "\xff", "friends": []}]}'),
     ],
 )
 def test_malformed_input_files_exit_2(tmp_path, capsys, command, flag, content):
     bad = tmp_path / "bad.json"
-    bad.write_text(content)
+    bad.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
     edges = tmp_path / "edges.txt"
     edges.write_text("a b\nb c\n")
     out = tmp_path / "out.json"
@@ -221,3 +227,13 @@ def test_malformed_input_files_exit_2(tmp_path, capsys, command, flag, content):
     assert main(argv + [flag, str(bad)]) == 2
     assert capsys.readouterr().err.startswith(f"error ({command}): ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cell", ["tn", "fp", "fn", "tp"])
+def test_evaluate_negative_count_exit_2(capsys, cell):
+    counts = {"tn": "0", "fp": "0", "fn": "0", "tp": "1", cell: "-1"}
+    argv = ["evaluate"] + [arg for name, value in counts.items() for arg in (f"--{name}", value)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error (evaluate): --{cell} -1 ")
+    assert captured.out == ""

@@ -1,0 +1,70 @@
+"""Golden outputs: sha256 digests of what the CLI writes for fixed inputs.
+
+A refactor must leave every digest unchanged. A change that alters
+outputs on purpose updates the digests here and says so in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from osnrecon.cli import main
+
+GENERATE_ARGS = ["--users", "60", "--mean-degree", "6", "--seed", "3"]
+RUN_ARGS = ["--best-info", "0.02", "--best-edges", "0.5"]
+EDGES = "a b\nb c\nc a\nc d\nd e\ne a\nb d\n"
+ATTRS = [
+    {"id": "a", "feature": "hometown", "value": "Rome"},
+    {"id": "b", "feature": "current_city", "value": "padua"},
+    {"id": "c", "feature": "education", "value": " Venice "},
+    {"id": "d", "feature": "high_school", "value": "milan"},
+    {"id": "d", "feature": "hometown", "value": "rome"},
+]
+
+GENERATE_SHA256 = "dd15bd614215a2a2d67a1ebeda6cfde9da31fcf7f7967816b4f7a3c355235cf5"
+INGEST_SHA256 = "24d8b251bea086de7a81abb7981d1a44988e7c9d7695a2ffe0e050407300aacd"
+RUN_TREE_SHA256 = "01c9a095f979210d298f16853c3746b4b394690e5825b7a38eb61dfe2fc90c49"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _tree_sha256(root) -> str:
+    """Digest of every file under ``root``: relative path and bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(root).as_posix().encode("utf-8") + b"\0")
+        digest.update(_sha256(path.read_bytes()).encode("ascii") + b"\n")
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden") / "snap.json"
+    assert main(["generate", *GENERATE_ARGS, "--out", str(path)]) == 0
+    return path
+
+
+def test_generate_output(generated):
+    assert _sha256(generated.read_bytes()) == GENERATE_SHA256
+
+
+def test_ingest_output(tmp_path):
+    edges = tmp_path / "edges.txt"
+    edges.write_text(EDGES)
+    attrs = tmp_path / "attrs.json"
+    attrs.write_text(json.dumps(ATTRS))
+    out = tmp_path / "snap.json"
+    argv = ["ingest", "--edges", str(edges), "--attrs", str(attrs), "--seed", "5"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert _sha256(out.read_bytes()) == INGEST_SHA256
+
+
+def test_run_artifact_tree(generated, tmp_path):
+    users = [user["id"] for user in json.loads(generated.read_text())["users"]]
+    out = tmp_path / "out"
+    argv = ["run", "--snapshot", str(generated), *RUN_ARGS, "--out", str(out)]
+    assert main(argv + [arg for uid in users for arg in ("--victim", uid)]) == 0
+    assert _tree_sha256(out) == RUN_TREE_SHA256

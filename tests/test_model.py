@@ -77,7 +77,7 @@ class TestLoadSnapshot:
         doc = minimal_document()
         doc["users"][0]["hometown"] = "  Padua "
         snap = load_snapshot(doc)
-        assert snap.users["a"].hometown == "padua"
+        assert snap.users["a"].attributes["hometown"] == "padua"
 
     def test_empty_attribute_rejected(self):
         doc = minimal_document()
@@ -222,7 +222,7 @@ class TestIngest:
                 {"id": "a", "feature": "hometown", "value": "rome"},
             ],
         )
-        assert snap.users["a"].hometown == "rome"
+        assert snap.users["a"].attributes["hometown"] == "rome"
 
     def test_attribute_row_for_unknown_user(self):
         with pytest.raises(IntegrityError, match="ghost"):

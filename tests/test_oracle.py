@@ -73,6 +73,24 @@ def test_attributes_respect_privacy():
     assert attrs == {"hometown": "rome"}
 
 
+def test_public_attributes_are_a_copy():
+    snap = two_user_snapshot()
+    view = PublicView(snap)
+    attrs = view.public_attributes_of("a")
+    attrs["hometown"] = "paris"
+    attrs["education"] = "milan"
+    assert snap.users["a"].attributes == {"hometown": "rome"}
+    assert view.public_attributes_of("a") == {"hometown": "rome"}
+
+
+def test_only_features_are_public():
+    snap = load_snapshot(
+        {"users": [{"id": "a", "friends": [], "education": "padua", "high_school": "rome"}]}
+    )
+    assert snap.users["a"].attributes == {"education": "padua", "high_school": "rome"}
+    assert PublicView(snap).public_attributes_of("a") == {"education": "padua"}
+
+
 def test_exhaustive_pairwise_adjacency():
     snap = generate_synthetic(GeneratorConfig(n_users=10, mean_degree=3.0), seed=5)
     view = PublicView(snap)

@@ -106,20 +106,6 @@ def test_query_cost_is_one_check_per_candidate():
     assert view.query_count == 1 + found.candidates_checked
 
 
-def test_log_lines_emitted():
-    snap = load_snapshot(
-        {
-            "users": [{"id": "v", "friends": ["f"]}, {"id": "f", "friends": ["v"]}],
-            "pictures": [
-                {"id": "p", "owner": "v", "public": True, "likers": ["f"], "commenters": []}
-            ],
-        }
-    )
-    lines = []
-    recover_friends("v", PublicView(snap), log=lines.append)
-    assert lines == ["FRIEND FOUND -- 1 f (f)"]
-
-
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10**6), n=st.integers(3, 20))
 def test_recovery_sound_and_bounded(seed, n):
