@@ -53,6 +53,7 @@ from .evaluate import (
     confusion,
     evaluate_victim,
     metrics,
+    report_value,
     run_experiment,
 )
 from .dotexport import graph_to_dot

@@ -13,7 +13,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,9 +22,9 @@ from .evaluate import (
     ConfusionMatrix,
     EvaluationError,
     ExperimentConfig,
-    _frac_doc,
     confusion,
     metrics,
+    report_value,
     run_experiment,
 )
 from .model import (
@@ -35,7 +35,7 @@ from .model import (
     load_snapshot_file,
 )
 from .oracle import FEATURES, OracleError, PublicView
-from .scoring import CalibrationError, Thresholds, calibrate
+from .scoring import CalibrationError, CandidateScore, Thresholds, calibrate
 from .twohop import build_graph, collect_2hop, prune_single_edge
 
 
@@ -62,8 +62,9 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buffer.getvalue()
 
 
-def _float_cell(value: Fraction) -> str:
-    return f"{float(value):.6f}"
+def _cell(value):
+    """A CSV cell: a Fraction to six decimals, anything else as it is."""
+    return f"{float(value):.6f}" if type(value) is Fraction else value
 
 
 def _read_json(path):
@@ -122,7 +123,7 @@ def _victim_files(result, victim_doc: dict) -> dict[str, str]:
     files["graph.dot"] = graph_to_dot(result.pruned_graph)
     files["mutuals.json"] = _json_text(result.survey.mutuals_document())
     rate_rows = [
-        [feature, label, f"{rate.numerator}/{rate.denominator}", _float_cell(rate)]
+        [feature, label, f"{rate.numerator}/{rate.denominator}", _cell(rate)]
         for feature, table in result.rates.items()
         for label, rate in sorted(table.items())
     ]
@@ -134,24 +135,19 @@ def _victim_files(result, victim_doc: dict) -> dict[str, str]:
             for friend, attrs in result.friend_records.items()
         ],
     )
+    columns = [f.name for f in fields(CandidateScore)]
     files["scores.csv"] = _csv_text(
-        ["candidate", "info_score", "shared_edges", "edge_score", "combined", "verdict"],
-        [
-            [
-                s.candidate,
-                _float_cell(s.info_score),
-                s.shared_edges,
-                _float_cell(s.edge_score),
-                _float_cell(s.combined),
-                s.verdict,
-            ]
-            for s in result.scores
-        ],
+        columns, [[_cell(getattr(s, name)) for name in columns] for s in result.scores]
     )
     return files
 
 
 def cmd_run(args) -> int:
+    # Each victim's artifacts go to the directory named by its id, so an id
+    # must name exactly one directory inside the output directory.
+    for victim in args.victim:
+        if "/" in victim or victim in ("", ".", ".."):
+            raise UsageError(f"victim id {victim!r} is not a directory name")
     snapshot = load_snapshot_file(args.snapshot)
     thresholds = Thresholds(
         best_info=Fraction(args.best_info).limit_denominator(10**6),
@@ -192,12 +188,7 @@ def cmd_calibrate(args) -> int:
 
     run_experiment(snapshot, args.victim, placeholder, config, on_victim=label)
     thresholds = calibrate(labeled)
-    document = {
-        "best_info": _frac_doc(thresholds.best_info),
-        "best_edges": _frac_doc(thresholds.best_edges),
-        "labeled_candidates": len(labeled),
-    }
-    text = _json_text(document)
+    text = _json_text({**report_value(thresholds), "labeled_candidates": len(labeled)})
     if args.out:
         write_atomic(Path(args.out), text)
     print(text, end="")

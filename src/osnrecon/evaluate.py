@@ -7,7 +7,7 @@ directly; the pipeline stages it drives still only see the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -120,22 +120,25 @@ class VictimResult:
     queries: int = 0
 
 
-def _frac_doc(value: Fraction | None) -> dict | None:
-    if value is None:
-        return None
-    return {"exact": f"{value.numerator}/{value.denominator}", "value": float(value)}
+def report_value(value):
+    """A value in the form the JSON artifacts carry it.
 
-
-def _metrics_doc(m: Metrics) -> dict:
-    return {
-        "precision": _frac_doc(m.precision),
-        "recall": _frac_doc(m.recall),
-        "f1": _frac_doc(m.f1),
-    }
-
-
-def _matrix_doc(matrix: ConfusionMatrix) -> dict:
-    return {"tn": matrix.tn, "fp": matrix.fp, "fn": matrix.fn, "tp": matrix.tp}
+    A ``Fraction`` becomes ``{"exact": "n/d", "value": float}``; a
+    dataclass becomes a dict of its fields in declaration order; dicts,
+    lists and tuples are rendered item by item; anything else is kept.
+    """
+    kind = type(value)
+    if kind is Fraction:
+        n, d = value.numerator, value.denominator
+        # int / int rounds correctly, as float(value) does, in one call less.
+        return {"exact": f"{n}/{d}", "value": n / d}
+    if kind is dict:
+        return {key: report_value(item) for key, item in value.items()}
+    if kind is list or kind is tuple:
+        return [report_value(item) for item in value]
+    if is_dataclass(kind):
+        return {f.name: report_value(getattr(value, f.name)) for f in fields(kind)}
+    return value
 
 
 def evaluate_victim(
@@ -218,27 +221,15 @@ def _victim_doc(result: VictimResult) -> dict:
                 "two_hop": len(two_hop_nodes(result.graph)),
                 "pruned_out": result.pruned_candidates,
             },
-            "rates": {
-                feature: {label: _frac_doc(rate) for label, rate in sorted(table.items())}
-                for feature, table in result.rates.items()
-            },
-            "rankings": {
-                feature: [[label, _frac_doc(rate)] for label, rate in ranking]
-                for feature, ranking in result.rankings.items()
-            },
-            "scores": [
+            **report_value(
                 {
-                    "candidate": s.candidate,
-                    "info_score": _frac_doc(s.info_score),
-                    "shared_edges": s.shared_edges,
-                    "edge_score": _frac_doc(s.edge_score),
-                    "combined": _frac_doc(s.combined),
-                    "verdict": s.verdict,
+                    "rates": result.rates,
+                    "rankings": result.rankings,
+                    "scores": result.scores,
+                    "confusion": result.matrix,
+                    "metrics": metrics(result.matrix),
                 }
-                for s in result.scores
-            ],
-            "confusion": _matrix_doc(result.matrix),
-            "metrics": _metrics_doc(metrics(result.matrix)),
+            ),
         }
     )
     return doc
@@ -275,24 +266,11 @@ def run_experiment(
             guesses[victim] = result.rankings
     del result
 
-    report: dict = {
-        "thresholds": {
-            "best_info": _frac_doc(thresholds.best_info),
-            "best_edges": _frac_doc(thresholds.best_edges),
-        },
-        "config": {
-            "prune": config.prune,
-            "count_pruned_as_negative": config.count_pruned_as_negative,
-            "query_budget": config.query_budget,
-        },
-        "victims": docs,
-    }
-
+    report: dict = {"thresholds": thresholds, "config": config}
     count = len(guesses)
     if count:
         mean_cells = {
-            cell: Fraction(getattr(pooled, cell), count)
-            for cell in ("tn", "fp", "fn", "tp")
+            f.name: Fraction(getattr(pooled, f.name), count) for f in fields(ConfusionMatrix)
         }
         rounded = ConfusionMatrix(
             **{cell: round(value) for cell, value in mean_cells.items()}
@@ -300,24 +278,25 @@ def run_experiment(
         report["aggregate"] = {
             "victims_evaluated": count,
             "victims_skipped": len(docs) - count,
-            "confusion_mean": {c: _frac_doc(v) for c, v in mean_cells.items()},
-            "confusion_mean_rounded": _matrix_doc(rounded),
-            "confusion_pooled": _matrix_doc(pooled),
-            "metrics_pooled": _metrics_doc(metrics(pooled)),
-            "metrics_mean_rounded": _metrics_doc(metrics(rounded)),
+            "confusion_mean": mean_cells,
+            "confusion_mean_rounded": rounded,
+            "confusion_pooled": pooled,
+            "metrics_pooled": metrics(pooled),
+            "metrics_mean_rounded": metrics(rounded),
         }
 
         truth = {victim: snapshot.users[victim].attributes for victim in guesses}
         report["attribute_accuracy"] = {
-            "top1": {f: _frac_doc(v) for f, v in top_k_accuracy(guesses, truth, 1).items()},
-            "top2": {f: _frac_doc(v) for f, v in top_k_accuracy(guesses, truth, 2).items()},
-            "within_top2": {
-                f: _frac_doc(v) for f, v in top_within_k_accuracy(guesses, truth, 2).items()
-            },
+            "top1": top_k_accuracy(guesses, truth, 1),
+            "top2": top_k_accuracy(guesses, truth, 2),
+            "within_top2": top_within_k_accuracy(guesses, truth, 2),
         }
     else:
         report["aggregate"] = {
             "victims_evaluated": 0,
             "victims_skipped": len(docs),
         }
+    # The victim entries are rendered already; they join after the walk.
+    report = report_value(report)
+    report["victims"] = docs
     return report

@@ -320,7 +320,8 @@ class GeneratorConfig:
 
 def _random_edges(n: int, mean_degree: float, rng: random.Random) -> set[tuple[int, int]]:
     max_edges = n * (n - 1) // 2
-    target = min(max_edges, round(n * mean_degree / 2))
+    # Compared before rounding: a huge mean degree makes the product infinite.
+    target = max_edges if mean_degree >= n - 1 else round(n * mean_degree / 2)
     edges: set[tuple[int, int]] = set()
     attempts = 0
     while len(edges) < target and attempts < 50 * max_edges + 100:
@@ -465,7 +466,8 @@ def ingest_edge_list(
     for row in attribute_rows or []:
         uid = _require(row, "id", str, "attribute row")
         feature = _require(row, "feature", str, "attribute row")
-        value = canonical(_require(row, "value", str, "attribute row"))
+        _require(row, "value", str, "attribute row")
+        value = _opt_label(row, "value", f"attribute row for {uid!r}")
         if feature not in ATTRIBUTES:
             raise SchemaError(f"attribute row for {uid!r}: unknown feature {feature!r}")
         if uid not in attributes:

@@ -7,9 +7,9 @@ from osnrecon.cli import main
 from helpers import worked_example_snapshot
 
 
-def write_worked_example(tmp_path):
+def write_worked_example(tmp_path, single_edge_candidate=False):
     path = tmp_path / "snap.json"
-    path.write_text(worked_example_snapshot().to_json())
+    path.write_text(worked_example_snapshot(single_edge_candidate).to_json())
     return path
 
 
@@ -125,6 +125,64 @@ def test_export_dot(tmp_path, capsys):
     assert '"c1" [fillcolor=orange];' in text
 
 
+@pytest.mark.parametrize("flags", [[], ["--no-prune"]])
+def test_export_dot_stdout_matches_run_graph(tmp_path, capsys, flags):
+    snap = write_worked_example(tmp_path, single_edge_candidate=True)
+    out = tmp_path / "out"
+    run = ["run", "--snapshot", str(snap), "--victim", "victim", "--out", str(out)]
+    assert main(run + flags) == 0
+    capsys.readouterr()
+    assert main(["export-dot", "--snapshot", str(snap), "--victim", "victim", *flags]) == 0
+    assert capsys.readouterr().out == (out / "victim" / "graph.dot").read_text()
+    report = json.loads((out / "victim" / "report.json").read_text())
+    scored = {score["candidate"] for score in report["scores"]}
+    # c5 shares a single edge with the victim's friends.
+    if flags:
+        assert "c5" in scored and report["graph"]["pruned_out"] == []
+    else:
+        assert "c5" not in scored and report["graph"]["pruned_out"] == ["c5"]
+
+
+def test_export_dot_unknown_victim_exit_2(tmp_path, capsys):
+    snap = write_worked_example(tmp_path)
+    assert main(["export-dot", "--snapshot", str(snap), "--victim", "nobody"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error (export-dot): ")
+    assert "nobody" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("victim", ["../x", ".."])
+def test_run_rejects_victim_ids_that_leave_out(tmp_path, capsys, victim):
+    # The worked example with the victim renamed, so the id is in the snapshot.
+    text = worked_example_snapshot().to_json().replace('"victim"', json.dumps(victim))
+    snap = tmp_path / "snap.json"
+    snap.write_text(text)
+    out = tmp_path / "out" / "inner"
+    argv = ["run", "--snapshot", str(snap), "--victim", victim, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error (run): ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_out_defaults_to_environment(tmp_path, capsys, monkeypatch):
+    snap = write_worked_example(tmp_path)
+    monkeypatch.setenv("OSNRECON_OUT", str(tmp_path / "env"))
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--snapshot", str(snap), "--victim", "victim"]) == 0
+    assert (tmp_path / "env" / "aggregate.json").is_file()
+    assert (tmp_path / "env" / "victim" / "report.json").is_file()
+    assert not (tmp_path / "osnrecon-out").exists()
+
+
+def test_generate_huge_mean_degree_is_complete_graph(tmp_path, capsys):
+    huge, complete = tmp_path / "huge.json", tmp_path / "complete.json"
+    argv = ["generate", "--users", "20", "--seed", "1", "--mean-degree"]
+    assert main(argv + ["1e308", "--out", str(huge)]) == 0
+    assert main(argv + ["19", "--out", str(complete)]) == 0
+    assert huge.read_bytes() == complete.read_bytes()
+
+
 def test_ingest_subcommand(tmp_path, capsys):
     edges = tmp_path / "edges.txt"
     edges.write_text("a b\nb c\na c\n")
@@ -143,17 +201,21 @@ def test_calibrate_subcommand(tmp_path, capsys):
         ]
     ) == 0
     capsys.readouterr()
-    code = main(
-        [
-            "calibrate", "--snapshot", str(snap),
-            "--victim", "u000", "--victim", "u005", "--victim", "u010", "--victim", "u020",
-        ]
-    )
-    assert code == 0
-    document = json.loads(capsys.readouterr().out)
+    argv = [
+        "calibrate", "--snapshot", str(snap),
+        "--victim", "u000", "--victim", "u005", "--victim", "u010", "--victim", "u020",
+    ]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    document = json.loads(printed)
     assert 0.0 <= document["best_info"]["value"] <= 1.0
     assert 0.0 <= document["best_edges"]["value"] <= 1.0
     assert document["labeled_candidates"] > 0
+
+    target = tmp_path / "thresholds.json"
+    assert main(argv + ["--out", str(target)]) == 0
+    assert capsys.readouterr().out == printed
+    assert target.read_text() == printed
 
 
 def test_unreadable_snapshot(tmp_path, capsys):
@@ -195,6 +257,7 @@ def test_out_of_range_options_exit_2(tmp_path, capsys, command, flags):
         ("ingest", "--attrs", "{bad"),
         ("ingest", "--attrs", "5"),
         ("ingest", "--attrs", "[1]"),
+        ("ingest", "--attrs", '[{"id": "a", "feature": "hometown", "value": "   "}]'),
         ("evaluate", "--predictions", '[{"id": "a"}]'),
         ("evaluate", "--predictions", '[{"id": [1], "predicted": true, "actual": true}]'),
         ("evaluate", "--predictions", '[{"id": "a", "predicted": "false", "actual": false}]'),

@@ -13,6 +13,9 @@ from osnrecon.cli import main
 
 GENERATE_ARGS = ["--users", "60", "--mean-degree", "6", "--seed", "3"]
 RUN_ARGS = ["--best-info", "0.02", "--best-edges", "0.5"]
+# The non-default report sections: unpruned graphs, pruned candidates
+# counted as negatives, and victims skipped for budget.
+OPTION_ARGS = [*RUN_ARGS, "--no-prune", "--count-pruned-as-negative", "--budget", "100"]
 EDGES = "a b\nb c\nc a\nc d\nd e\ne a\nb d\n"
 ATTRS = [
     {"id": "a", "feature": "hometown", "value": "Rome"},
@@ -25,6 +28,7 @@ ATTRS = [
 GENERATE_SHA256 = "dd15bd614215a2a2d67a1ebeda6cfde9da31fcf7f7967816b4f7a3c355235cf5"
 INGEST_SHA256 = "24d8b251bea086de7a81abb7981d1a44988e7c9d7695a2ffe0e050407300aacd"
 RUN_TREE_SHA256 = "01c9a095f979210d298f16853c3746b4b394690e5825b7a38eb61dfe2fc90c49"
+OPTION_TREE_SHA256 = "a16d725d0347d234374c127e4480078edac304f98923391a397363f45364f1cf"
 
 
 def _sha256(data: bytes) -> str:
@@ -62,9 +66,26 @@ def test_ingest_output(tmp_path):
     assert _sha256(out.read_bytes()) == INGEST_SHA256
 
 
-def test_run_artifact_tree(generated, tmp_path):
-    users = [user["id"] for user in json.loads(generated.read_text())["users"]]
-    out = tmp_path / "out"
-    argv = ["run", "--snapshot", str(generated), *RUN_ARGS, "--out", str(out)]
+def _run_every_user(snapshot, out, args) -> None:
+    users = [user["id"] for user in json.loads(snapshot.read_text())["users"]]
+    argv = ["run", "--snapshot", str(snapshot), *args, "--out", str(out)]
     assert main(argv + [arg for uid in users for arg in ("--victim", uid)]) == 0
+
+
+def test_run_artifact_tree(generated, tmp_path):
+    out = tmp_path / "out"
+    _run_every_user(generated, out, RUN_ARGS)
     assert _tree_sha256(out) == RUN_TREE_SHA256
+
+
+def test_run_artifact_tree_with_options(generated, tmp_path):
+    out = tmp_path / "out"
+    _run_every_user(generated, out, OPTION_ARGS)
+    aggregate = json.loads((out / "aggregate.json").read_text())["aggregate"]
+    assert (aggregate["victims_evaluated"], aggregate["victims_skipped"]) == (27, 33)
+    reports = [json.loads(path.read_text()) for path in out.glob("*/report.json")]
+    evaluated = [report for report in reports if not report["skipped"]]
+    # Every evaluated victim scores a single-edge candidate that pruning
+    # would have removed.
+    assert all(any(s["shared_edges"] == 1 for s in r["scores"]) for r in evaluated)
+    assert _tree_sha256(out) == OPTION_TREE_SHA256
