@@ -32,6 +32,7 @@ from .model import (
     SnapshotError,
     generate_synthetic,
     ingest_edge_list,
+    json_text,
     load_snapshot_file,
 )
 from .oracle import FEATURES, OracleError, PublicView
@@ -48,10 +49,6 @@ def write_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
-
-
-def _json_text(document) -> str:
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -117,11 +114,11 @@ def cmd_ingest(args) -> int:
 
 def _victim_files(result, victim_doc: dict) -> dict[str, str]:
     """A victim's artifacts, file name to text; nothing is written."""
-    files = {"report.json": _json_text(victim_doc)}
+    files = {"report.json": json_text(victim_doc)}
     if result.skipped:
         return files
     files["graph.dot"] = graph_to_dot(result.pruned_graph)
-    files["mutuals.json"] = _json_text(result.survey.mutuals_document())
+    files["mutuals.json"] = json_text(result.survey.mutuals_document())
     rate_rows = [
         [feature, label, f"{rate.numerator}/{rate.denominator}", _cell(rate)]
         for feature, table in result.rates.items()
@@ -149,9 +146,10 @@ def cmd_run(args) -> int:
         if "/" in victim or victim in ("", ".", ".."):
             raise UsageError(f"victim id {victim!r} is not a directory name")
     snapshot = load_snapshot_file(args.snapshot)
+    # str() gives back the decimal as typed (1e-07 -> 1/10000000), not the
+    # exact binary value of the float.
     thresholds = Thresholds(
-        best_info=Fraction(args.best_info).limit_denominator(10**6),
-        best_edges=Fraction(args.best_edges).limit_denominator(10**6),
+        best_info=Fraction(str(args.best_info)), best_edges=Fraction(str(args.best_edges))
     )
     config = ExperimentConfig(
         prune=not args.no_prune,
@@ -170,7 +168,7 @@ def cmd_run(args) -> int:
     report = run_experiment(snapshot, args.victim, thresholds, config, on_victim=render)
     for path, text in files.items():
         write_atomic(path, text)
-    write_atomic(out_dir / "aggregate.json", _json_text(report))
+    write_atomic(out_dir / "aggregate.json", json_text(report))
     print(f"wrote report for {len(report['victims'])} victim(s) to {out_dir}")
     return 0
 
@@ -188,7 +186,7 @@ def cmd_calibrate(args) -> int:
 
     run_experiment(snapshot, args.victim, placeholder, config, on_victim=label)
     thresholds = calibrate(labeled)
-    text = _json_text({**report_value(thresholds), "labeled_candidates": len(labeled)})
+    text = json_text({**report_value(thresholds), "labeled_candidates": len(labeled)})
     if args.out:
         write_atomic(Path(args.out), text)
     print(text, end="")

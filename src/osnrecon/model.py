@@ -42,7 +42,6 @@ ATTRIBUTES = {
     "hometown": "cities",
     "current_city": "cities",
     "education": "schools",
-    "high_school": "schools",
 }
 
 
@@ -145,7 +144,63 @@ class OsnSnapshot:
         return {"users": users, "pictures": pictures}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_document(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.to_document())
+
+
+def json_text(document) -> str:
+    """``json.dumps(document, sort_keys=True, indent=2)`` plus a newline.
+
+    ``json.dumps`` falls back to its pure-Python encoder whenever
+    ``indent`` is set. This renders the same text with the C string
+    encoder, and a list of strings in one join. Scalars other than
+    strings and booleans, empty containers and dicts with a non-string
+    key go through ``json.dumps``, indented to where they sit.
+    """
+    out: list[str] = []
+    _render(document, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _render(value, newline: str, out: list[str]) -> None:
+    if type(value) is str:
+        out.append(_encode_str(value))
+    elif type(value) is bool:
+        out.append("true" if value else "false")
+    elif not isinstance(value, (dict, list, tuple)) or not value:
+        out.append(json.dumps(value))
+    else:
+        inner = newline + "  "
+        separator = "," + inner
+        # encode_basestring_ascii raises TypeError on anything but a string.
+        if isinstance(value, dict):
+            keys = sorted(value)
+            try:
+                heads = [_encode_str(key) + ": " for key in keys]
+            except TypeError:
+                out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
+                return
+            opening = "{" + inner
+            for key, head in zip(keys, heads):
+                out.append(opening + head)
+                _render(value[key], inner, out)
+                opening = separator
+            out.append(newline + "}")
+            return
+        try:
+            out.append("[" + inner + separator.join(map(_encode_str, value)) + newline + "]")
+            return
+        except TypeError:
+            pass
+        opening = "[" + inner
+        for item in value:
+            out.append(opening)
+            _render(item, inner, out)
+            opening = separator
+        out.append(newline + "]")
 
 
 def _require(doc: dict, key: str, kind: type, where: str):
@@ -257,7 +312,10 @@ class GeneratorConfig:
     Engagement follows a two-probability Bernoulli model: each friend of
     a picture's owner likes (and, independently, comments) the picture
     with probability ``p_friend``; every non-friend does the same with
-    probability ``p_stranger``.
+    probability ``p_stranger``. Friends take two draws each; strangers
+    are drawn by geometric skips over all users, one draw per hit plus
+    one. So a public picture costs O(friends + engagements), and a
+    snapshot O(n + m + engagements) for n users and m friendships.
     """
 
     n_users: int = 50
@@ -333,6 +391,30 @@ def _random_edges(n: int, mean_degree: float, rng: random.Random) -> set[tuple[i
     return edges
 
 
+def _bernoulli_subset(items: list[str], p: float, rng: random.Random) -> list[str]:
+    """Each item with probability ``p``, independently, in list order.
+
+    Geometric skips (Batagelj & Brandes, "Efficient generation of large
+    random networks", Phys. Rev. E 71, 2005) take one draw per item
+    returned plus one, not one per item.
+    """
+    if p <= 0.0:
+        return []
+    if p >= 1.0:
+        return list(items)
+    log_q = math.log1p(-p)
+    last = len(items) - 1
+    chosen: list[str] = []
+    index = -1
+    while True:
+        # Compared as a float first: a tiny p makes the skip overflow int().
+        skip = math.log(1.0 - rng.random()) / log_q
+        if skip >= last - index:
+            return chosen
+        index += 1 + int(skip)
+        chosen.append(items[index])
+
+
 def _assign_attributes(
     ids: list[str],
     adjacency: dict[str, set[str]],
@@ -377,20 +459,26 @@ def _synthesize_activity(
     pictures: dict[str, Picture] = {}
     owned: dict[str, set[str]] = {uid: set() for uid in ids}
     for uid in ids:
+        friends = adjacency[uid]
+        ordered_friends = sorted(friends)
         for k in range(config.pictures_per_user):
             pid = f"{uid}_p{k}"
             public = rng.random() < config.p_picture_public
             likers = set()
             commenters = set()
             if public:
-                for other in ids:
-                    if other == uid:
-                        continue
-                    p = config.p_friend if other in adjacency[uid] else config.p_stranger
-                    if rng.random() < p:
+                for other in ordered_friends:
+                    if rng.random() < config.p_friend:
                         likers.add(other)
-                    if rng.random() < p:
+                    if rng.random() < config.p_friend:
                         commenters.add(other)
+                # A hit on the owner or a friend is dropped, which leaves
+                # every other user's probability exactly p_stranger.
+                for engaged in (likers, commenters):
+                    hits = set(_bernoulli_subset(ids, config.p_stranger, rng))
+                    hits -= friends
+                    hits.discard(uid)
+                    engaged |= hits
             pictures[pid] = Picture(
                 id=pid, owner=uid, public=public,
                 likers=frozenset(likers), commenters=frozenset(commenters),

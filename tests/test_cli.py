@@ -113,6 +113,18 @@ def test_run_verdicts_respect_thresholds(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "given, exact", [("1e-7", "1/10000000"), ("0.02", "1/50"), ("0.5", "1/2")]
+)
+def test_run_keeps_threshold_as_given(tmp_path, capsys, given, exact):
+    snap = write_worked_example(tmp_path)
+    out = tmp_path / "out"
+    argv = ["run", "--snapshot", str(snap), "--victim", "victim", "--out", str(out)]
+    assert main(argv + ["--best-info", given, "--best-edges", given]) == 0
+    thresholds = json.loads((out / "aggregate.json").read_text())["thresholds"]
+    assert thresholds["best_info"]["exact"] == thresholds["best_edges"]["exact"] == exact
+
+
 def test_export_dot(tmp_path, capsys):
     snap = write_worked_example(tmp_path)
     target = tmp_path / "graph.dot"
@@ -201,10 +213,10 @@ def test_calibrate_subcommand(tmp_path, capsys):
         ]
     ) == 0
     capsys.readouterr()
-    argv = [
-        "calibrate", "--snapshot", str(snap),
-        "--victim", "u000", "--victim", "u005", "--victim", "u010", "--victim", "u020",
-    ]
+    # Every user is a victim, so the labelled set holds positives whatever
+    # the generator's random stream.
+    users = [user["id"] for user in json.loads(snap.read_text())["users"]]
+    argv = ["calibrate", "--snapshot", str(snap), *(a for u in users for a in ("--victim", u))]
     assert main(argv) == 0
     printed = capsys.readouterr().out
     document = json.loads(printed)

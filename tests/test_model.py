@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,9 @@ from osnrecon import (
     ingest_edge_list,
     load_snapshot,
 )
+
+import osnrecon.model
+from osnrecon.model import json_text
 
 from helpers import worked_example_document
 
@@ -133,34 +137,79 @@ class TestGenerator:
         )
 
     def test_engagement_rates_within_binomial_bounds(self):
-        # Counting oracle: liker counts per picture should sit within 3
-        # sigma of the binomial expectation, aggregated over pictures.
+        # Counting oracle: liker and commenter counts per picture should sit
+        # within 3 sigma of the binomial expectation, aggregated over
+        # pictures, for sparse and for dense stranger engagement.
+        for p_stranger, seed in ((0.01, 7), (0.3, 8)):
+            config = GeneratorConfig(
+                n_users=50,
+                mean_degree=8.0,
+                pictures_per_user=2,
+                p_friend=0.6,
+                p_stranger=p_stranger,
+                p_picture_public=1.0,
+            )
+            snap = generate_synthetic(config, seed=seed)
+            for engagement in ("likers", "commenters"):
+                friend_trials = friend_hits = 0
+                stranger_trials = stranger_hits = 0
+                for pic in snap.pictures.values():
+                    engaged = getattr(pic, engagement)
+                    friends = snap.users[pic.owner].friends
+                    assert pic.owner not in engaged
+                    friend_trials += len(friends)
+                    stranger_trials += len(snap.users) - 1 - len(friends)
+                    friend_hits += len(engaged & friends)
+                    stranger_hits += len(engaged - friends)
+                for hits, trials, p in (
+                    (friend_hits, friend_trials, 0.6),
+                    (stranger_hits, stranger_trials, p_stranger),
+                ):
+                    mean = trials * p
+                    sigma = (trials * p * (1 - p)) ** 0.5
+                    assert abs(hits - mean) <= 3 * sigma
+
+    @pytest.mark.parametrize("p_stranger", [0.0, 1.0])
+    def test_stranger_engagement_exact_at_zero_and_one(self, p_stranger):
         config = GeneratorConfig(
-            n_users=50,
-            mean_degree=8.0,
-            pictures_per_user=2,
-            p_friend=0.6,
-            p_stranger=0.01,
+            n_users=40, mean_degree=4.0, p_friend=0.5, p_stranger=p_stranger,
             p_picture_public=1.0,
         )
-        snap = generate_synthetic(config, seed=7)
-        friend_trials = friend_likes = 0
-        stranger_trials = stranger_likes = 0
+        snap = generate_synthetic(config, seed=3)
         for pic in snap.pictures.values():
             friends = snap.users[pic.owner].friends
-            n_friends = len(friends)
-            n_strangers = len(snap.users) - 1 - n_friends
-            friend_trials += n_friends
-            stranger_trials += n_strangers
-            friend_likes += len(pic.likers & friends)
-            stranger_likes += len(pic.likers - friends)
-        for likes, trials, p in (
-            (friend_likes, friend_trials, 0.6),
-            (stranger_likes, stranger_trials, 0.01),
-        ):
-            mean = trials * p
-            sigma = (trials * p * (1 - p)) ** 0.5
-            assert abs(likes - mean) <= 3 * sigma
+            strangers = set(snap.users) - friends - {pic.owner}
+            for engaged in (pic.likers, pic.commenters):
+                assert pic.owner not in engaged
+                assert engaged - friends == (strangers if p_stranger else set())
+
+    @pytest.mark.parametrize("p_stranger", [5e-324, 1e-300])
+    def test_tiny_stranger_probability_generates(self, p_stranger):
+        config = GeneratorConfig(n_users=30, p_stranger=p_stranger, p_picture_public=1.0)
+        generate_synthetic(config, seed=1).validate()
+
+    @pytest.mark.parametrize("n", [200, 2000])
+    def test_draws_linear_in_users_and_edges(self, monkeypatch, n):
+        # With no stranger engagement the generator's output is O(n + m),
+        # so its draws must be too; two draws per (public picture, user)
+        # pair would be about 3 * n * n here.
+        counted = []
+
+        class CountingRandom(random.Random):
+            def random(self):
+                counted.append(None)
+                return super().random()
+
+            # Defined so that randrange and choice keep their own stream.
+            def getrandbits(self, k):
+                counted.append(None)
+                return super().getrandbits(k)
+
+        monkeypatch.setattr(osnrecon.model.random, "Random", CountingRandom)
+        config = GeneratorConfig(n_users=n, mean_degree=4.0, p_stranger=0.0)
+        snap = generate_synthetic(config, seed=2)
+        edges = len(snap.friendship_edges())
+        assert len(counted) <= 20 * (n + edges)
 
     def test_invalid_probability_rejected(self):
         with pytest.raises(SnapshotError, match="p_friend"):
@@ -232,3 +281,35 @@ class TestIngest:
                 seed=0,
                 attribute_rows=[{"id": "ghost", "feature": "hometown", "value": "x"}],
             )
+
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**200), 2**200)
+    | st.floats()
+    | st.sampled_from([-0.0, 1e300, -1e-300])
+    | st.text()
+    | st.sampled_from(['"', "\\", "\n\t\x00\x1f", "caf\u00e9 \u2603 \U0001f600"])
+)
+json_documents = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.lists(st.text(max_size=4), max_size=5)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_documents)
+def test_json_text_matches_json_dumps(document):
+    assert json_text(document) == json.dumps(document, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "document", [{1: "a", 2: ["b"]}, {"a": {2.5: [True, None]}}, [[], {}, ()], ({},)]
+)
+def test_json_text_non_string_keys_and_empty_containers(document):
+    assert json_text(document) == json.dumps(document, sort_keys=True, indent=2) + "\n"

@@ -87,7 +87,7 @@ def test_only_features_are_public():
     snap = load_snapshot(
         {"users": [{"id": "a", "friends": [], "education": "padua", "high_school": "rome"}]}
     )
-    assert snap.users["a"].attributes == {"education": "padua", "high_school": "rome"}
+    assert snap.users["a"].attributes == {"education": "padua"}
     assert PublicView(snap).public_attributes_of("a") == {"education": "padua"}
 
 
