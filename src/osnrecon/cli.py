@@ -1,4 +1,4 @@
-"""Command-line front end wiring the pipeline end to end.
+"""Command-line front end: parses arguments, calls the pipeline and renders.
 
 Subcommands: generate, ingest, run, calibrate, evaluate, export-dot.
 All output files are written atomically (temp file + rename) and are
@@ -24,6 +24,7 @@ from .evaluate import (
     ExperimentConfig,
     confusion,
     metrics,
+    reconstruct,
     report_value,
     run_experiment,
 )
@@ -37,7 +38,6 @@ from .model import (
 )
 from .oracle import FEATURES, OracleError, PublicView
 from .scoring import CalibrationError, CandidateScore, Thresholds, calibrate
-from .twohop import build_graph, collect_2hop, prune_single_edge
 
 
 class UsageError(Exception):
@@ -72,12 +72,15 @@ def _read_json(path):
             raise UsageError(f"{path}: invalid JSON ({exc})") from exc
 
 
+# The GeneratorConfig fields with a flag of their own, in --help order.
+GENERATOR_FLAGS = ("mean_degree", "pictures_per_user", "p_friend", "p_stranger",
+                   "p_picture_public", "p_attributes_public", "homophily")
+
+
 def _generator_config(args) -> GeneratorConfig:
     config = GeneratorConfig.from_dict(_read_json(args.config) if args.config else {})
-    overrides = {"n_users": getattr(args, "users", None)}
-    for name in ("mean_degree", "pictures_per_user", "p_friend", "p_stranger",
-                 "p_picture_public", "p_attributes_public", "homophily"):
-        overrides[name] = getattr(args, name)
+    overrides = {name: getattr(args, name) for name in GENERATOR_FLAGS}
+    overrides["n_users"] = getattr(args, "users", None)
     return replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
@@ -140,11 +143,11 @@ def _victim_files(result, victim_doc: dict) -> dict[str, str]:
 
 
 def cmd_run(args) -> int:
-    # Each victim's artifacts go to the directory named by its id, so an id
-    # must name exactly one directory inside the output directory.
+    # An id names the directory of its victim's artifacts: exactly one
+    # directory inside the output directory, and not the aggregate's path.
     for victim in args.victim:
-        if "/" in victim or victim in ("", ".", ".."):
-            raise UsageError(f"victim id {victim!r} is not a directory name")
+        if "/" in victim or victim in ("", ".", "..", "aggregate.json", "aggregate.json.tmp"):
+            raise UsageError(f"victim id {victim!r} cannot name an output directory")
     snapshot = load_snapshot_file(args.snapshot)
     # str() gives back the decimal as typed (1e-07 -> 1/10000000), not the
     # exact binary value of the float.
@@ -180,9 +183,7 @@ def cmd_calibrate(args) -> int:
     labeled = []
 
     def label(result, victim_doc: dict) -> None:
-        if not result.skipped:
-            ground = snapshot.users[result.victim].friends
-            labeled.extend((score, score.candidate in ground) for score in result.scores)
+        labeled.extend((score, result.truth[score.candidate]) for score in result.scores)
 
     run_experiment(snapshot, args.victim, placeholder, config, on_victim=label)
     thresholds = calibrate(labeled)
@@ -208,6 +209,8 @@ def cmd_evaluate(args) -> int:
                 f"{args.predictions}: rows need a scalar id and boolean predicted and actual"
             )
         predictions = {row["id"]: row["predicted"] for row in rows}
+        if len(predictions) < len(rows):
+            raise EvaluationError(f"{args.predictions}: an id is in more than one row")
         truth = {row["id"]: row["actual"] for row in rows}
         matrix = confusion(predictions, truth)
     elif None not in (args.tn, args.fp, args.fn, args.tp):
@@ -227,13 +230,8 @@ def cmd_evaluate(args) -> int:
 def cmd_export_dot(args) -> int:
     snapshot = load_snapshot_file(args.snapshot)
     oracle = PublicView(snapshot, budget=args.budget)
-    if not oracle.knows(args.victim):
-        raise EvaluationError(f"victim {args.victim!r} not in snapshot")
-    survey = collect_2hop(args.victim, oracle)
-    graph = build_graph(survey)
-    if not args.no_prune:
-        graph = prune_single_edge(graph)
-    text = graph_to_dot(graph)
+    _, _, kept = reconstruct(snapshot, args.victim, oracle, prune=not args.no_prune)
+    text = graph_to_dot(kept)
     if args.out:
         write_atomic(Path(args.out), text)
         print(f"wrote {args.out}")
@@ -244,13 +242,9 @@ def cmd_export_dot(args) -> int:
 
 def _add_generator_flags(parser) -> None:
     parser.add_argument("--config", help="JSON file with generator options")
-    parser.add_argument("--mean-degree", type=float, dest="mean_degree")
-    parser.add_argument("--pictures-per-user", type=int, dest="pictures_per_user")
-    parser.add_argument("--p-friend", type=float, dest="p_friend")
-    parser.add_argument("--p-stranger", type=float, dest="p_stranger")
-    parser.add_argument("--p-picture-public", type=float, dest="p_picture_public")
-    parser.add_argument("--p-attributes-public", type=float, dest="p_attributes_public")
-    parser.add_argument("--homophily", type=float)
+    for name in GENERATOR_FLAGS:
+        kind = type(getattr(GeneratorConfig, name))  # the type of the default
+        parser.add_argument("--" + name.replace("_", "-"), type=kind, dest=name)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,8 +1,8 @@
 """Evaluation harness: confusion matrices, precision/recall/F1, and the
 end-to-end per-victim experiment against ground truth.
 
-This is the one module allowed to read the snapshot's ground truth
-directly; the pipeline stages it drives still only see the oracle.
+Only this module wires the pipeline stages together and reads the
+snapshot's ground truth; the stages it drives see only the oracle.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ class ConfusionMatrix:
     fp: int = 0
     fn: int = 0
     tp: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.tn + self.fp + self.fn + self.tp
 
     def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
         return ConfusionMatrix(
@@ -116,6 +112,7 @@ class VictimResult:
     rankings: dict[str, Ranking] = field(default_factory=dict)
     scores: list[CandidateScore] = field(default_factory=list)
     pruned_candidates: list[str] = field(default_factory=list)
+    truth: dict[str, bool] = field(default_factory=dict)  # candidate -> is a friend
     matrix: ConfusionMatrix | None = None
     queries: int = 0
 
@@ -141,6 +138,20 @@ def report_value(value):
     return value
 
 
+def reconstruct(
+    snapshot: OsnSnapshot, victim: str, oracle: PublicView, prune: bool
+) -> tuple[TwoHopSurvey, FriendshipGraph, FriendshipGraph]:
+    """Survey the victim's 2-hop neighbourhood through ``oracle`` and
+    build its graph. Returns the survey, the full graph and the graph
+    kept for scoring: the full graph less its single-edge 2-hop nodes,
+    or the full graph itself when ``prune`` is false."""
+    if victim not in snapshot.users:
+        raise EvaluationError(f"victim {victim!r} not in snapshot")
+    survey = collect_2hop(victim, oracle)
+    graph = build_graph(survey)
+    return survey, graph, prune_single_edge(graph) if prune else graph
+
+
 def evaluate_victim(
     snapshot: OsnSnapshot,
     victim: str,
@@ -150,8 +161,6 @@ def evaluate_victim(
     """Run the full pipeline for one victim and score it against ground
     truth. A victim that runs out of query budget is skipped whole, so a
     result is either complete or skipped, never truncated."""
-    if victim not in snapshot.users:
-        raise EvaluationError(f"victim {victim!r} not in snapshot")
     oracle = PublicView(snapshot, budget=config.query_budget)
     try:
         result = _attack(snapshot, victim, oracle, thresholds, config)
@@ -169,21 +178,15 @@ def _attack(
     config: ExperimentConfig,
 ) -> VictimResult:
     result = VictimResult(victim=victim)
-    result.survey = collect_2hop(victim, oracle)
+    result.survey, result.graph, result.pruned_graph = reconstruct(
+        snapshot, victim, oracle, config.prune
+    )
     recovered = result.survey.recovered
     if not recovered.friends:
         result.skipped = True
         result.skip_reason = "no friends recovered"
         return result
-
-    result.graph = build_graph(result.survey)
-    if config.prune:
-        result.pruned_graph = prune_single_edge(result.graph)
-        before = set(two_hop_nodes(result.graph))
-        after = set(two_hop_nodes(result.pruned_graph))
-        result.pruned_candidates = sorted(before - after)
-    else:
-        result.pruned_graph = result.graph
+    result.pruned_candidates = sorted(result.graph.roles.keys() - result.pruned_graph.roles)
 
     result.friend_records = collect_friend_records(recovered, oracle)
     result.rates = extract_rates(result.friend_records)
@@ -196,8 +199,8 @@ def _attack(
     if config.count_pruned_as_negative:
         for candidate in result.pruned_candidates:
             predictions.setdefault(candidate, False)
-    truth = {candidate: candidate in ground_friends for candidate in predictions}
-    result.matrix = confusion(predictions, truth)
+    result.truth = {candidate: candidate in ground_friends for candidate in predictions}
+    result.matrix = confusion(predictions, result.truth)
     return result
 
 

@@ -357,6 +357,10 @@ class GeneratorConfig:
             raise SnapshotError(f"mean_degree must be finite and >= 0, got {self.mean_degree}")
         if self.pictures_per_user < 0:
             raise SnapshotError("pictures_per_user must be >= 0")
+        for label in (*self.cities, *self.schools):
+            # The loader canonicalises labels, so no other label round-trips.
+            if not isinstance(label, str) or not label or label != canonical(label):
+                raise SnapshotError(f"vocabulary label {label!r} is empty or not canonical")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GeneratorConfig":

@@ -112,7 +112,3 @@ class PublicView:
             return None
         stored = profile.attributes
         return {f: stored[f] for f in FEATURES if f in stored}
-
-    def knows(self, user_id: str) -> bool:
-        """Existence check; does not consume budget."""
-        return user_id in self._snapshot.users

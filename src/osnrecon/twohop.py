@@ -52,9 +52,6 @@ class FriendshipGraph:
     def nodes(self) -> list[str]:
         return sorted(self.roles)
 
-    def has_edge(self, a: str, b: str) -> bool:
-        return b in self.adj.get(a, ())
-
 
 def collect_2hop(victim: str, oracle: PublicView) -> TwoHopSurvey:
     """Run recovery on the victim and each recovered friend, and map the

@@ -135,7 +135,7 @@ def test_criterion_4_graph_soundness():
         if not graph.edges <= truth:
             failures += 1
             continue
-        if not all(graph.has_edge(victim, f) for f in graph.one_hop):
+        if not all(f in graph.adj[victim] for f in graph.one_hop):
             failures += 1
             continue
         pruned = prune_single_edge(graph)

@@ -164,7 +164,8 @@ def test_export_dot_unknown_victim_exit_2(tmp_path, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("victim", ["../x", ".."])
+# The last two would name the aggregate report's own path as a directory.
+@pytest.mark.parametrize("victim", ["../x", "..", "aggregate.json", "aggregate.json.tmp"])
 def test_run_rejects_victim_ids_that_leave_out(tmp_path, capsys, victim):
     # The worked example with the victim renamed, so the id is in the snapshot.
     text = worked_example_snapshot().to_json().replace('"victim"', json.dumps(victim))
@@ -266,6 +267,8 @@ def test_out_of_range_options_exit_2(tmp_path, capsys, command, flags):
         ("generate", "--config", '{"n_users": 2.5}'),
         ("generate", "--config", '{"mean_degree": null}'),
         ("generate", "--config", '{"mean_degree": NaN}'),
+        # The generator would write a label its own loader rejects.
+        ("generate", "--config", '{"cities": ["  ", "rome"]}'),
         ("ingest", "--attrs", "{bad"),
         ("ingest", "--attrs", "5"),
         ("ingest", "--attrs", "[1]"),
@@ -274,6 +277,8 @@ def test_out_of_range_options_exit_2(tmp_path, capsys, command, flags):
         ("evaluate", "--predictions", '[{"id": [1], "predicted": true, "actual": true}]'),
         ("evaluate", "--predictions", '[{"id": "a", "predicted": "false", "actual": false}]'),
         ("evaluate", "--predictions", '[{"id": "a", "predicted": true, "actual": 1}]'),
+        ("evaluate", "--predictions", '[{"id": "a", "predicted": false, "actual": true},'
+         ' {"id": "a", "predicted": false, "actual": true}]'),
         ("run", "--snapshot", '{"users": [{"id": "a", "friends": [],'
          ' "privacy": {"attributes_public": "false"}}]}'),
         ("run", "--snapshot", '{"users": [{"id": "a", "friends": [["b"]]}]}'),

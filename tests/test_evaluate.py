@@ -36,7 +36,7 @@ def test_confusion_matches_hand_count_on_random_verdicts():
     fn = sum(1 for c in predictions if not predictions[c] and truth[c])
     tn = sum(1 for c in predictions if not predictions[c] and not truth[c])
     assert (matrix.tp, matrix.fp, matrix.fn, matrix.tn) == (tp, fp, fn, tn)
-    assert matrix.total == 20
+    assert matrix.tn + matrix.fp + matrix.fn + matrix.tp == 20
 
 
 def test_confusion_missing_truth_flag():
@@ -102,7 +102,8 @@ def test_pruned_candidates_excluded_by_default(worked_example_with_single_edge):
         worked_example_with_single_edge, VICTIM, loose_thresholds()
     )
     assert result.pruned_candidates == ["c5"]
-    assert result.matrix.total == 4
+    matrix = result.matrix
+    assert matrix.tn + matrix.fp + matrix.fn + matrix.tp == 4
 
 
 def test_pruned_candidates_counted_when_configured(worked_example_with_single_edge):
@@ -110,7 +111,8 @@ def test_pruned_candidates_counted_when_configured(worked_example_with_single_ed
     result = evaluate_victim(
         worked_example_with_single_edge, VICTIM, loose_thresholds(), config
     )
-    assert result.matrix.total == 5
+    matrix = result.matrix
+    assert matrix.tn + matrix.fp + matrix.fn + matrix.tp == 5
     # c5 is not a ground-truth friend, so it lands in TN.
     assert result.matrix.tn == 1
 

@@ -28,6 +28,11 @@ GENERATE_SHA256 = "fee8f218c3037a2b77756f6cbda5a379b155575f1fc103f244fe4b0d6d2f1
 INGEST_SHA256 = "51fd63b8d19a801a5d8ddec0ae11be74e8792674334024765144aa1a3bc605af"
 RUN_TREE_SHA256 = "0732f35885e5386fda2570c0fde5d5606489043824a3f6ddb7d5de179f5cf0d7"
 OPTION_TREE_SHA256 = "887c87dd796655dd5a4e0b1e7c9d6363fc2abf03b9862ab80231695a31ab2cf0"
+CALIBRATE_SHA256 = "66cd1ae77bb729d582cc404edea849407b862ba9d662fcee73b08552b77db740"
+EXPORT_DOT_SHA256 = {
+    "pruned": "74032a11d130f2e9e4c05cddff746ab0b2728a13c0473ee0eafed5f073021d57",
+    "unpruned": "c1af04d31ab7031c260511b5c2de41c8041cf4576c041ed31446d884ea5c7c48",
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -65,10 +70,13 @@ def test_ingest_output(tmp_path):
     assert _sha256(out.read_bytes()) == INGEST_SHA256
 
 
+def _users(snapshot) -> list[str]:
+    return [user["id"] for user in json.loads(snapshot.read_text())["users"]]
+
+
 def _run_every_user(snapshot, out, args) -> None:
-    users = [user["id"] for user in json.loads(snapshot.read_text())["users"]]
     argv = ["run", "--snapshot", str(snapshot), *args, "--out", str(out)]
-    assert main(argv + [arg for uid in users for arg in ("--victim", uid)]) == 0
+    assert main(argv + [arg for uid in _users(snapshot) for arg in ("--victim", uid)]) == 0
 
 
 def test_run_artifact_tree(generated, tmp_path):
@@ -88,3 +96,18 @@ def test_run_artifact_tree_with_options(generated, tmp_path):
     # would have removed.
     assert all(any(s["shared_edges"] == 1 for s in r["scores"]) for r in evaluated)
     assert _tree_sha256(out) == OPTION_TREE_SHA256
+
+
+def test_calibrate_output(generated, capsys):
+    victims = [arg for uid in _users(generated) for arg in ("--victim", uid)]
+    assert main(["calibrate", "--snapshot", str(generated), *victims]) == 0
+    printed = capsys.readouterr().out
+    assert json.loads(printed)["labeled_candidates"] == 195
+    assert _sha256(printed.encode("utf-8")) == CALIBRATE_SHA256
+
+
+@pytest.mark.parametrize("name, flags", [("pruned", []), ("unpruned", ["--no-prune"])])
+def test_export_dot_output(generated, capsys, name, flags):
+    victim = _users(generated)[0]
+    assert main(["export-dot", "--snapshot", str(generated), "--victim", victim, *flags]) == 0
+    assert _sha256(capsys.readouterr().out.encode("utf-8")) == EXPORT_DOT_SHA256[name]

@@ -215,6 +215,19 @@ class TestGenerator:
         with pytest.raises(SnapshotError, match="p_friend"):
             generate_synthetic(GeneratorConfig(n_users=5, p_friend=1.5), seed=0)
 
+    @pytest.mark.parametrize(
+        "vocabulary", [{"cities": ("Rome",)}, {"cities": ("  ", "rome")}, {"schools": ("",)}]
+    )
+    def test_non_canonical_vocabulary_rejected(self, vocabulary):
+        # The loader would rewrite "Rome" and reject "  " and "".
+        with pytest.raises(SnapshotError, match="label"):
+            generate_synthetic(GeneratorConfig(n_users=5, **vocabulary), seed=0)
+
+    def test_config_file_labels_are_canonicalised(self):
+        config = GeneratorConfig.from_dict({"cities": [" Rome "]})
+        assert config.cities == ("rome",)
+        config.validate()
+
     def test_too_few_users_rejected(self):
         with pytest.raises(SnapshotError, match="n_users"):
             generate_synthetic(GeneratorConfig(n_users=1), seed=0)

@@ -125,7 +125,7 @@ def test_edges_subset_of_ground_truth():
         graph = build_graph(collect_2hop(victim, PublicView(snap)))
         assert graph.edges <= truth
         for friend in graph.one_hop:
-            assert graph.has_edge(victim, friend)
+            assert friend in graph.adj[victim]
 
 
 def test_shared_edge_counts_on_worked_example(worked_example):
