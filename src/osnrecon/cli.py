@@ -30,6 +30,7 @@ from .evaluate import (
 )
 from .model import (
     GeneratorConfig,
+    Rendered,
     SnapshotError,
     generate_synthetic,
     ingest_edge_list,
@@ -164,9 +165,12 @@ def cmd_run(args) -> int:
     # done, so a run that fails part-way writes nothing.
     files: dict[Path, str] = {}
 
-    def render(result, victim_doc: dict) -> None:
-        for name, text in _victim_files(result, victim_doc).items():
+    def render(result, victim_doc: dict) -> Rendered:
+        victim_files = _victim_files(result, victim_doc)
+        for name, text in victim_files.items():
             files[out_dir / result.victim / name] = text
+        # aggregate.json lists the victim's report.json text, not a second rendering
+        return Rendered(victim_files["report.json"])
 
     report = run_experiment(snapshot, args.victim, thresholds, config, on_victim=render)
     for path, text in files.items():
@@ -208,10 +212,11 @@ def cmd_evaluate(args) -> int:
             raise EvaluationError(
                 f"{args.predictions}: rows need a scalar id and boolean predicted and actual"
             )
-        predictions = {row["id"]: row["predicted"] for row in rows}
+        # Keyed by their JSON text: 1, 1.0 and true are equal as dict keys.
+        predictions = {json.dumps(row["id"]): row["predicted"] for row in rows}
         if len(predictions) < len(rows):
             raise EvaluationError(f"{args.predictions}: an id is in more than one row")
-        truth = {row["id"]: row["actual"] for row in rows}
+        truth = {json.dumps(row["id"]): row["actual"] for row in rows}
         matrix = confusion(predictions, truth)
     elif None not in (args.tn, args.fp, args.fn, args.tp):
         matrix = ConfusionMatrix(tn=args.tn, fp=args.fp, fn=args.fn, tp=args.tp)

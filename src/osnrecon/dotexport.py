@@ -26,10 +26,12 @@ def graph_to_dot(graph: FriendshipGraph) -> str:
         "graph friendship {",
         "  node [style=filled];",
     ]
-    for node in graph.nodes():
-        color = ROLE_COLORS[graph.roles[node]]
-        lines.append(f"  {_quote(node)} [fillcolor={color}];")
-    for a, b in sorted(graph.edges):
-        lines.append(f"  {_quote(a)} -- {_quote(b)};")
+    nodes = graph.nodes()
+    quoted = {node: _quote(node) for node in nodes}
+    for node in nodes:
+        lines.append(f"  {quoted[node]} [fillcolor={ROLE_COLORS[graph.roles[node]]}];")
+    # Each edge once, as a < b, in sorted (a, b) order.
+    for a in nodes:
+        lines.extend(f"  {quoted[a]} -- {quoted[b]};" for b in sorted(graph.adj[a]) if a < b)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -243,27 +243,27 @@ def run_experiment(
     victims: list[str],
     thresholds: Thresholds,
     config: ExperimentConfig = ExperimentConfig(),
-    on_victim: Callable[[VictimResult, dict], None] | None = None,
+    on_victim: Callable[[VictimResult, dict], object] | None = None,
 ) -> dict:
     """Evaluate each victim in sorted id order and return the report.
 
     Each victim's result is handed to ``on_victim`` with its report entry
-    and then dropped; only the entries, the pooled confusion matrix and
-    the attribute rankings carry over to the aggregate. The aggregate
-    confusion matrix is reported three ways: exact cell-wise means over
-    evaluated victims, the same rounded to integers, and pooled sums.
+    and then dropped. The report lists what ``on_victim`` returns for
+    each victim (the entry itself when there is no ``on_victim``); only
+    those, the pooled confusion matrix and the attribute rankings carry
+    over to the aggregate. The aggregate confusion matrix is reported
+    three ways: exact cell-wise means over evaluated victims, the same
+    rounded to integers, and pooled sums.
     """
     if not victims:
         raise EvaluationError("no victims given")
-    docs: list[dict] = []
+    docs: list = []
     pooled = ConfusionMatrix()
     guesses: dict[str, dict[str, Ranking]] = {}
     for victim in sorted(set(victims)):
         result = evaluate_victim(snapshot, victim, thresholds, config)
         doc = _victim_doc(result)
-        if on_victim is not None:
-            on_victim(result, doc)
-        docs.append(doc)
+        docs.append(doc if on_victim is None else on_victim(result, doc))
         if not result.skipped:
             pooled = pooled + result.matrix
             guesses[victim] = result.rankings

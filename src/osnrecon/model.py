@@ -152,9 +152,11 @@ def json_text(document) -> str:
 
     ``json.dumps`` falls back to its pure-Python encoder whenever
     ``indent`` is set. This renders the same text with the C string
-    encoder, and a list of strings in one join. Scalars other than
-    strings and booleans, empty containers and dicts with a non-string
-    key go through ``json.dumps``, indented to where they sit.
+    encoder, and a list of strings in one join. Ints, ``None`` and
+    finite floats are written as ``json.dumps`` writes them; other
+    scalars, empty containers and dicts with a non-string key go through
+    ``json.dumps``, indented to where they sit. A :class:`Rendered` value
+    is spliced in as the text it holds.
     """
     out: list[str] = []
     _render(document, "\n", out)
@@ -162,14 +164,33 @@ def json_text(document) -> str:
     return "".join(out)
 
 
+class Rendered:
+    """Text that ``json_text`` returned, to be placed in a larger
+    document as it is, indented to where it sits. ``ensure_ascii``
+    output has no raw newline inside a string, so every newline in the
+    text is a line break."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+
 _encode_str = json.encoder.encode_basestring_ascii
 
 
 def _render(value, newline: str, out: list[str]) -> None:
-    if type(value) is str:
+    kind = type(value)
+    if kind is str:
         out.append(_encode_str(value))
-    elif type(value) is bool:
+    elif kind is bool:
         out.append("true" if value else "false")
+    elif kind is int or kind is float and math.isfinite(value):
+        out.append(repr(value))  # what json.dumps writes for these
+    elif value is None:
+        out.append("null")
+    elif kind is Rendered:
+        out.append(value.text[:-1].replace("\n", newline))
     elif not isinstance(value, (dict, list, tuple)) or not value:
         out.append(json.dumps(value))
     else:

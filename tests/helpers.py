@@ -7,6 +7,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from osnrecon import OsnSnapshot, Role, TwoHopSurvey, load_snapshot
+from osnrecon.dotexport import ROLE_COLORS
 
 # Rate tables for the victim's 100 recovered friends. The percentage is
 # realized exactly as count/100.
@@ -168,6 +169,23 @@ def reference_graph(survey: TwoHopSurvey) -> SimpleNamespace:
         if role == Role.TWO_HOP_RELEVANT and shared == 1:
             roles[node] = Role.TWO_HOP_SINGLE_EDGE
     return SimpleNamespace(roles=roles, adj=adj)
+
+
+def reference_dot(graph) -> str:
+    """Independent DOT renderer: every node in sorted order, then every
+    pair of ``graph.edges`` in sorted order, quoting each id where it is
+    written."""
+
+    def quote(name: str) -> str:
+        return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    lines = ["graph friendship {", "  node [style=filled];"]
+    for node in sorted(graph.roles):
+        lines.append(f"  {quote(node)} [fillcolor={ROLE_COLORS[graph.roles[node]]}];")
+    for a, b in sorted(graph.edges):
+        lines.append(f"  {quote(a)} -- {quote(b)};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def engaged_users(snapshot: OsnSnapshot, owner: str) -> set[str]:

@@ -81,6 +81,18 @@ def test_evaluate_predictions_file(tmp_path, capsys):
     assert "precision: 0.5000" in out
 
 
+@pytest.mark.parametrize("other", [True, 1.0])
+def test_evaluate_predictions_ids_equal_in_python_are_distinct(tmp_path, capsys, other):
+    rows = [
+        {"id": 1, "predicted": False, "actual": False},
+        {"id": other, "predicted": True, "actual": True},
+    ]
+    path = tmp_path / "preds.json"
+    path.write_text(json.dumps(rows))
+    assert main(["evaluate", "--predictions", str(path)]) == 0
+    assert "tn=1 fp=0 fn=0 tp=1" in capsys.readouterr().out
+
+
 def test_run_artifacts_are_byte_identical(tmp_path, capsys):
     snap = write_worked_example(tmp_path)
     out1, out2 = tmp_path / "one", tmp_path / "two"
@@ -279,6 +291,8 @@ def test_out_of_range_options_exit_2(tmp_path, capsys, command, flags):
         ("evaluate", "--predictions", '[{"id": "a", "predicted": true, "actual": 1}]'),
         ("evaluate", "--predictions", '[{"id": "a", "predicted": false, "actual": true},'
          ' {"id": "a", "predicted": false, "actual": true}]'),
+        ("evaluate", "--predictions", '[{"id": 1, "predicted": true, "actual": true},'
+         ' {"id": 1, "predicted": true, "actual": true}]'),
         ("run", "--snapshot", '{"users": [{"id": "a", "friends": [],'
          ' "privacy": {"attributes_public": "false"}}]}'),
         ("run", "--snapshot", '{"users": [{"id": "a", "friends": [["b"]]}]}'),

@@ -170,12 +170,19 @@ def test_run_experiment_hands_each_victim_to_on_victim_once():
     snap = experiment_snapshot()
     victims = sorted(snap.users)[:5]
     seen = []
+
+    def on_victim(result, doc):
+        seen.append((result.victim, doc))
+        return ("marker", result.victim)
+
     report = run_experiment(
-        snap, victims[::-1] + victims[:2], loose_thresholds(),
-        on_victim=lambda result, doc: seen.append((result.victim, doc)),
+        snap, victims[::-1] + victims[:2], loose_thresholds(), on_victim=on_victim
     )
     assert [victim for victim, _ in seen] == victims
-    assert [doc for _, doc in seen] == report["victims"]
+    # The report lists what on_victim returned, in sorted victim order.
+    assert report["victims"] == [("marker", victim) for victim in victims]
+    plain = run_experiment(snap, victims, loose_thresholds())
+    assert [doc for _, doc in seen] == plain["victims"]
 
 
 @pytest.mark.parametrize("budget", [0, 60, 120, 200, 1000])

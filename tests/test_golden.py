@@ -98,6 +98,16 @@ def test_run_artifact_tree_with_options(generated, tmp_path):
     assert _tree_sha256(out) == OPTION_TREE_SHA256
 
 
+def test_aggregate_lists_each_report(generated, tmp_path):
+    out = tmp_path / "out"
+    _run_every_user(generated, out, OPTION_ARGS)
+    entries = json.loads((out / "aggregate.json").read_text())["victims"]
+    assert [entry["victim"] for entry in entries] == sorted(_users(generated))
+    assert {entry["skipped"] for entry in entries} == {False, True}
+    for entry in entries:
+        assert entry == json.loads((out / entry["victim"] / "report.json").read_text())
+
+
 def test_calibrate_output(generated, capsys):
     victims = [arg for uid in _users(generated) for arg in ("--victim", uid)]
     assert main(["calibrate", "--snapshot", str(generated), *victims]) == 0

@@ -16,7 +16,7 @@ from osnrecon import (
 )
 
 import osnrecon.model
-from osnrecon.model import json_text
+from osnrecon.model import Rendered, json_text
 
 from helpers import worked_example_document
 
@@ -319,6 +319,13 @@ json_documents = st.recursive(
 @given(json_documents)
 def test_json_text_matches_json_dumps(document):
     assert json_text(document) == json.dumps(document, sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_documents)
+def test_json_text_splices_rendered_text(document):
+    spliced = {"k": [Rendered(json_text(document)), 1]}
+    assert json_text(spliced) == json_text({"k": [document, 1]})
 
 
 @pytest.mark.parametrize(

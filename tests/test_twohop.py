@@ -6,9 +6,11 @@ from osnrecon import (
     GeneratorConfig,
     PublicView,
     Role,
+    FriendshipGraph,
     build_graph,
     collect_2hop,
     generate_synthetic,
+    graph_to_dot,
     load_snapshot,
     prune_single_edge,
     shared_edge_count,
@@ -20,6 +22,7 @@ from helpers import (
     brute_mutual_friends,
     brute_shared_edges,
     engaged_users,
+    reference_dot,
     reference_graph,
 )
 
@@ -233,3 +236,27 @@ def test_build_graph_matches_reference(seed, shape):
     ref = reference_graph(survey)
     assert graph.roles == ref.roles
     assert graph.adj == ref.adj
+
+
+# Ids that need escaping, and ids that are prefixes of each other.
+dot_ids = st.sampled_from(['"', '""', "\\", '\\"', "a", "ab", "abc", 'a"', "a\\b"])
+dot_ids |= st.text(max_size=3)
+
+
+@st.composite
+def role_graphs(draw):
+    nodes = draw(st.lists(dot_ids, min_size=1, max_size=12, unique=True))
+    roles = {node: draw(st.sampled_from(list(Role))) for node in nodes}
+    adj: dict[str, set[str]] = {node: set() for node in nodes}
+    pairs = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
+    for a, b in draw(st.lists(pairs, max_size=40)):
+        if a != b:
+            adj[a].add(b)
+            adj[b].add(a)
+    return FriendshipGraph(victim=nodes[0], roles=roles, adj=adj, one_hop=frozenset())
+
+
+@settings(max_examples=200, deadline=None)
+@given(role_graphs())
+def test_graph_to_dot_matches_reference(graph):
+    assert graph_to_dot(graph) == reference_dot(graph)
