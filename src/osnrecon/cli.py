@@ -1,6 +1,6 @@
 """Command-line front end: parses arguments, calls the pipeline and renders.
 
-Subcommands: generate, ingest, run, calibrate, evaluate, export-dot.
+Subcommands: generate, ingest, run, calibrate, export-dot.
 All output files are written atomically (temp file + rename) and are
 byte-stable for a fixed config and seed.
 """
@@ -19,11 +19,8 @@ from pathlib import Path
 
 from .dotexport import graph_to_dot
 from .evaluate import (
-    ConfusionMatrix,
     EvaluationError,
     ExperimentConfig,
-    confusion,
-    metrics,
     reconstruct,
     report_value,
     run_experiment,
@@ -198,40 +195,6 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    if args.predictions:
-        rows = _read_json(args.predictions)
-        fields = {"id", "predicted", "actual"}
-        if not isinstance(rows, list) or not all(
-            isinstance(row, dict)
-            and fields <= row.keys()
-            and not isinstance(row["id"], (list, dict))
-            and isinstance(row["predicted"], bool) and isinstance(row["actual"], bool)
-            for row in rows
-        ):
-            raise EvaluationError(
-                f"{args.predictions}: rows need a scalar id and boolean predicted and actual"
-            )
-        # Keyed by their JSON text: 1, 1.0 and true are equal as dict keys.
-        predictions = {json.dumps(row["id"]): row["predicted"] for row in rows}
-        if len(predictions) < len(rows):
-            raise EvaluationError(f"{args.predictions}: an id is in more than one row")
-        truth = {json.dumps(row["id"]): row["actual"] for row in rows}
-        matrix = confusion(predictions, truth)
-    elif None not in (args.tn, args.fp, args.fn, args.tp):
-        matrix = ConfusionMatrix(tn=args.tn, fp=args.fp, fn=args.fn, tp=args.tp)
-    else:
-        raise EvaluationError("provide --predictions or all of --tn/--fp/--fn/--tp")
-    m = metrics(matrix)
-    print(f"tn={matrix.tn} fp={matrix.fp} fn={matrix.fn} tp={matrix.tp}")
-    for name, value in (("precision", m.precision), ("recall", m.recall), ("f1", m.f1)):
-        if value is None:
-            print(f"{name}: undefined")
-        else:
-            print(f"{name}: {float(value):.4f}")
-    return 0
-
-
 def cmd_export_dot(args) -> int:
     snapshot = load_snapshot_file(args.snapshot)
     oracle = PublicView(snapshot, budget=args.budget)
@@ -296,14 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("evaluate", help="compute precision/recall/F1")
-    p.add_argument("--predictions", help="JSON array of {id, predicted, actual}")
-    p.add_argument("--tn", type=int)
-    p.add_argument("--fp", type=int)
-    p.add_argument("--fn", type=int)
-    p.add_argument("--tp", type=int)
-    p.set_defaults(func=cmd_evaluate)
-
     p = sub.add_parser("export-dot", help="export a victim's 2-hop graph as DOT")
     p.add_argument("--snapshot", required=True)
     p.add_argument("--victim", required=True)
@@ -316,16 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_ranges(args) -> None:
-    """Reject out-of-range thresholds, budgets and confusion counts before
-    any work starts."""
+    """Reject out-of-range thresholds and budgets before any work starts."""
     for flag in ("best_info", "best_edges"):
         value = getattr(args, flag, None)
         if value is not None and not 0 <= value <= 1:
             raise UsageError(f"--{flag.replace('_', '-')} {value} outside [0, 1]")
-    for flag in ("budget", "tn", "fp", "fn", "tp"):
-        value = getattr(args, flag, None)
-        if value is not None and value < 0:
-            raise UsageError(f"--{flag} {value} is negative")
+    budget = getattr(args, "budget", None)
+    if budget is not None and budget < 0:
+        raise UsageError(f"--budget {budget} is negative")
 
 
 def main(argv=None) -> int:

@@ -1,8 +1,11 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from osnrecon.cli import main
+from osnrecon.cli import build_parser, main
 
 from helpers import worked_example_snapshot
 
@@ -28,6 +31,17 @@ def test_generate_then_run_smoke(tmp_path, capsys):
     if not report["skipped"]:
         for name in ("graph.dot", "mutuals.json", "rates.csv", "scores.csv"):
             assert (victim_dir / name).is_file()
+
+
+def test_readme_lists_every_subcommand():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n+```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    documented = set(re.findall(r"^osnrecon ([\w-]+)", block, re.M))
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert documented == set(subparsers.choices)
 
 
 def test_run_missing_victim_names_id(tmp_path, capsys):
@@ -56,41 +70,6 @@ def test_run_budget_skips_victims_and_continues(tmp_path, capsys):
         assert doc["skip_reason"] == "budget exhausted"
         assert doc["queries"] == 5
         assert [p.name for p in (out / doc["victim"]).iterdir()] == ["report.json"]
-
-
-def test_evaluate_reported_aggregate(capsys):
-    assert main(
-        ["evaluate", "--tn", "253", "--fp", "118", "--fn", "28", "--tp", "11"]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "precision: 0.0853" in out
-    assert "recall: 0.2821" in out
-    assert "f1: 0.1310" in out
-
-
-def test_evaluate_predictions_file(tmp_path, capsys):
-    rows = [
-        {"id": "a", "predicted": True, "actual": True},
-        {"id": "b", "predicted": True, "actual": False},
-        {"id": "c", "predicted": False, "actual": False},
-    ]
-    path = tmp_path / "preds.json"
-    path.write_text(json.dumps(rows))
-    assert main(["evaluate", "--predictions", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "precision: 0.5000" in out
-
-
-@pytest.mark.parametrize("other", [True, 1.0])
-def test_evaluate_predictions_ids_equal_in_python_are_distinct(tmp_path, capsys, other):
-    rows = [
-        {"id": 1, "predicted": False, "actual": False},
-        {"id": other, "predicted": True, "actual": True},
-    ]
-    path = tmp_path / "preds.json"
-    path.write_text(json.dumps(rows))
-    assert main(["evaluate", "--predictions", str(path)]) == 0
-    assert "tn=1 fp=0 fn=0 tp=1" in capsys.readouterr().out
 
 
 def test_run_artifacts_are_byte_identical(tmp_path, capsys):
@@ -285,14 +264,6 @@ def test_out_of_range_options_exit_2(tmp_path, capsys, command, flags):
         ("ingest", "--attrs", "5"),
         ("ingest", "--attrs", "[1]"),
         ("ingest", "--attrs", '[{"id": "a", "feature": "hometown", "value": "   "}]'),
-        ("evaluate", "--predictions", '[{"id": "a"}]'),
-        ("evaluate", "--predictions", '[{"id": [1], "predicted": true, "actual": true}]'),
-        ("evaluate", "--predictions", '[{"id": "a", "predicted": "false", "actual": false}]'),
-        ("evaluate", "--predictions", '[{"id": "a", "predicted": true, "actual": 1}]'),
-        ("evaluate", "--predictions", '[{"id": "a", "predicted": false, "actual": true},'
-         ' {"id": "a", "predicted": false, "actual": true}]'),
-        ("evaluate", "--predictions", '[{"id": 1, "predicted": true, "actual": true},'
-         ' {"id": 1, "predicted": true, "actual": true}]'),
         ("run", "--snapshot", '{"users": [{"id": "a", "friends": [],'
          ' "privacy": {"attributes_public": "false"}}]}'),
         ("run", "--snapshot", '{"users": [{"id": "a", "friends": [["b"]]}]}'),
@@ -302,7 +273,6 @@ def test_out_of_range_options_exit_2(tmp_path, capsys, command, flags):
         ("generate", "--config", b'{"cities": ["\xff"]}'),
         ("ingest", "--attrs", b"\xfe\xff[]"),
         ("ingest", "--edges", b"a b\nb \xe9\n"),
-        ("evaluate", "--predictions", b"[\x80]"),
         ("run", "--snapshot", b'{"users": [{"id": "\xff", "friends": []}]}'),
     ],
 )
@@ -315,19 +285,9 @@ def test_malformed_input_files_exit_2(tmp_path, capsys, command, flag, content):
     argv = {
         "generate": ["generate", "--seed", "1", "--out", str(out)],
         "ingest": ["ingest", "--edges", str(edges), "--seed", "1", "--out", str(out)],
-        "evaluate": ["evaluate"],
         "run": ["run", "--victim", "a", "--out", str(out)],
     }[command]
     assert main(argv + [flag, str(bad)]) == 2
     assert capsys.readouterr().err.startswith(f"error ({command}): ")
     assert not out.exists()
 
-
-@pytest.mark.parametrize("cell", ["tn", "fp", "fn", "tp"])
-def test_evaluate_negative_count_exit_2(capsys, cell):
-    counts = {"tn": "0", "fp": "0", "fn": "0", "tp": "1", cell: "-1"}
-    argv = ["evaluate"] + [arg for name, value in counts.items() for arg in (f"--{name}", value)]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith(f"error (evaluate): --{cell} -1 ")
-    assert captured.out == ""
