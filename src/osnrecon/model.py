@@ -318,9 +318,27 @@ def load_snapshot(document: dict) -> OsnSnapshot:
 
 
 def load_snapshot_file(path) -> OsnSnapshot:
+    """Load and validate a snapshot file, keeping one string object per id.
+
+    ``json`` shares object keys but gives every string value its own
+    object: one per friend, liker and commenter reference. The hook
+    shares string values and string list items as each object decodes,
+    so the copies are freed before the whole document exists, which is
+    when the load peaks. Anything else is left for the loader's checks.
+    """
+    share = {}.setdefault
+
+    def shared_strings(obj: dict) -> dict:
+        for key, value in obj.items():
+            if type(value) is str:
+                obj[key] = share(value, value)
+            elif type(value) is list:
+                obj[key] = [share(v, v) if type(v) is str else v for v in value]
+        return obj
+
     with open(path, encoding="utf-8") as handle:
         try:
-            document = json.load(handle)
+            document = json.load(handle, object_hook=shared_strings)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
     return load_snapshot(document)
@@ -557,6 +575,7 @@ def ingest_edge_list(
     """
     config.validate()
     adjacency: dict[str, set[str]] = {}
+    share = {}.setdefault  # one object per id, not one per token
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -564,7 +583,7 @@ def ingest_edge_list(
         parts = line.split()
         if len(parts) != 2:
             raise SchemaError(f"edge list line {lineno}: expected two ids, got {line!r}")
-        a, b = parts
+        a, b = map(share, parts, parts)
         if a == b:
             raise IntegrityError(f"edge list line {lineno}: self-friendship {a!r}")
         adjacency.setdefault(a, set()).add(b)

@@ -23,18 +23,16 @@ class FriendsFound:
 def recover_friends(target: str, oracle: PublicView) -> FriendsFound:
     """Recover the target's friends visible through picture engagement.
 
-    Candidates are verified in sorted id order so that query-budget
-    accounting is reproducible.
+    Each candidate costs one friendship check. The order of the checks
+    does not matter: a query budget trips at the same count in any
+    order, and a victim that trips it is skipped whole.
     """
     candidates: set[str] = set()
     for picture in oracle.public_pictures_of(target):
         candidates |= picture.likers | picture.commenters
     candidates.discard(target)
 
-    friends: set[str] = set()
-    for candidate in sorted(candidates):
-        if oracle.are_friends(candidate, target):
-            friends.add(candidate)
+    friends = {candidate for candidate in candidates if oracle.are_friends(candidate, target)}
     return FriendsFound(
         target=target,
         friends=frozenset(friends),

@@ -269,6 +269,11 @@ def test_out_of_range_options_exit_2(tmp_path, capsys, command, flags):
         ("run", "--snapshot", '{"users": [{"id": "a", "friends": [["b"]]}]}'),
         ("run", "--snapshot", '{"users": [{"id": "a", "friends": []}], "pictures": [{"id": "p",'
          ' "owner": "a", "public": true, "likers": [["x"]], "commenters": []}]}'),
+        # Non-string ids and entries that the loader's string sharing leaves alone.
+        ("run", "--snapshot", '{"users": [{"id": "a", "friends": [1]}]}'),
+        ("run", "--snapshot", '{"users": [{"id": "a", "friends": []}], "pictures": [{"id": "p",'
+         ' "owner": "a", "public": true, "likers": [{"id": "a"}], "commenters": []}]}'),
+        ("run", "--snapshot", '{"users": ["a"]}'),
         # Bytes that are not UTF-8.
         ("generate", "--config", b'{"cities": ["\xff"]}'),
         ("ingest", "--attrs", b"\xfe\xff[]"),

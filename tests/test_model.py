@@ -13,6 +13,7 @@ from osnrecon import (
     generate_synthetic,
     ingest_edge_list,
     load_snapshot,
+    load_snapshot_file,
 )
 
 import osnrecon.model
@@ -294,6 +295,40 @@ class TestIngest:
                 seed=0,
                 attribute_rows=[{"id": "ghost", "feature": "hometown", "value": "x"}],
             )
+
+
+def _generated(tmp_path):
+    return generate_synthetic(GeneratorConfig(n_users=60, p_stranger=0.05), seed=3)
+
+
+def _ingested(tmp_path):
+    rng = random.Random(5)
+    lines = [f"n{rng.randrange(30)} m{rng.randrange(30)}" for _ in range(50)]
+    return ingest_edge_list(lines, GeneratorConfig(p_stranger=0.05), seed=5)
+
+
+def _loaded(tmp_path):
+    path = tmp_path / "snapshot.json"
+    path.write_text(_generated(tmp_path).to_json(), encoding="utf-8")
+    return load_snapshot_file(path)
+
+
+@pytest.mark.parametrize("build", [_generated, _ingested, _loaded])
+def test_snapshot_holds_one_object_per_id(tmp_path, build):
+    snap = build(tmp_path)
+    key = {uid: uid for uid in snap.users}  # each id to the key object itself
+    refs = [ref for user in snap.users.values() for ref in (user.id, *user.friends)]
+    for picture in snap.pictures.values():
+        refs += [picture.owner, *picture.likers, *picture.commenters]
+    assert len(refs) > 2 * len(key)
+    assert all(key[ref] is ref for ref in refs)
+
+
+def test_load_snapshot_file_round_trips_generated_text(tmp_path):
+    text = _generated(tmp_path).to_json()
+    path = tmp_path / "snapshot.json"
+    path.write_text(text, encoding="utf-8")
+    assert load_snapshot_file(path).to_json() == text
 
 
 json_scalars = (
