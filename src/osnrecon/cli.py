@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import os
@@ -283,6 +284,11 @@ def _check_ranges(args) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Every command builds trees only (snapshot, survey, graph, rendered
+    # text), so reference counting frees all of it and the cyclic collector
+    # would only walk the live objects. The caller's setting comes back.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         _check_ranges(args)
         return args.func(args)
@@ -291,6 +297,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error ({args.command}): {exc}", file=sys.stderr)
         return 2
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

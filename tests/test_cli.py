@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import re
 from pathlib import Path
@@ -296,3 +297,83 @@ def test_malformed_input_files_exit_2(tmp_path, capsys, command, flag, content):
     assert capsys.readouterr().err.startswith(f"error ({command}): ")
     assert not out.exists()
 
+
+@pytest.fixture(scope="module")
+def cycle_inputs(tmp_path_factory):
+    """The cycle test's input files: a generated snapshot, the worked
+    example (snap.json) and an edge list; and every generated user as
+    --victim arguments."""
+    root = tmp_path_factory.mktemp("cycles")
+    generated = root / "generated.json"
+    argv = ["generate", "--users", "60", "--mean-degree", "10", "--p-friend", "0.7",
+            "--seed", "11", "--out", str(generated)]
+    assert main(argv) == 0
+    write_worked_example(root)
+    (root / "edges.txt").write_text("a b\nb c\na c\n")
+    users = [user["id"] for user in json.loads(generated.read_text())["users"]]
+    return root, [arg for user in users for arg in ("--victim", user)]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["generate", "--users", "40", "--seed", "7", "--out", "{root}/out.json"], 0),
+        (["ingest", "--edges", "{root}/edges.txt", "--seed", "3", "--out", "{root}/out.json"], 0),
+        (["run", "--snapshot", "{root}/generated.json", "--victim", "u000", "--victim", "u003",
+          "--out", "{root}/out"], 0),
+        # u000 needs more than 200 queries and is skipped; u003 needs fewer.
+        (["run", "--snapshot", "{root}/generated.json", "--victim", "u000", "--victim", "u003",
+          "--budget", "200", "--out", "{root}/out"], 0),
+        (["calibrate", "--snapshot", "{root}/generated.json", "{victims}"], 0),
+        (["export-dot", "--snapshot", "{root}/generated.json", "--victim", "u000"], 0),
+        (["run", "--snapshot", "{root}/generated.json", "--victim", "nobody",
+          "--out", "{root}/out"], 2),
+        # The worked example's candidates are all strangers to its victim.
+        (["calibrate", "--snapshot", "{root}/snap.json", "--victim", "victim"], 2),
+    ],
+    ids=["generate", "ingest", "run", "run-budget", "calibrate", "export-dot",
+         "unknown-victim", "calibrate-no-positives"],
+)
+def test_commands_make_no_reference_cycles(cycle_inputs, capsys, argv, code):
+    # main turns the cyclic collector off, so a cycle that a command builds
+    # is never freed. The collector stays off here across the whole command,
+    # and anything it then finds beyond what argparse leaves is such a leak.
+    root, victims = cycle_inputs
+    argv = [part for arg in argv
+            for part in (victims if arg == "{victims}" else [arg.format(root=root)])]
+    gc.collect()
+    gc.disable()
+    try:
+        build_parser().parse_args(argv)
+        parser_garbage = gc.collect()
+        assert main(argv) == code
+        assert gc.collect() == parser_garbage
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("outcome", ["exit 0", "exit 2", "exception"])
+def test_main_restores_collector_state(tmp_path, capsys, monkeypatch, enabled, outcome):
+    snap = write_worked_example(tmp_path)
+    argv = ["export-dot", "--snapshot", str(snap), "--victim", "victim"]
+    if outcome == "exit 2":
+        argv += ["--budget", "-1"]
+
+    def fail(args):
+        assert not gc.isenabled()
+        raise RuntimeError("unexpected")
+
+    if outcome == "exception":
+        monkeypatch.setattr("osnrecon.cli.cmd_export_dot", fail)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if outcome == "exception":
+            with pytest.raises(RuntimeError, match="unexpected"):
+                main(argv)
+        else:
+            assert main(argv) == int(outcome[-1])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
