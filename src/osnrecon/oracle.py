@@ -11,6 +11,9 @@ exposes exactly the channels that leak in the platform being modelled:
 
 Ground-truth friend sets are never returned directly. Every call is
 counted, and an optional budget turns rate limiting into a hard error.
+Each question is charged once per victim: the survey
+(``twohop.collect_2hop``) reuses the answer to a pair it has already
+asked, in either order, instead of calling a channel again.
 """
 
 from __future__ import annotations
@@ -85,6 +88,8 @@ class PublicView:
         return b in pa.friends
 
     def mutual_friends(self, a: str, b: str) -> frozenset[str]:
+        """Common friends of ``a`` and ``b``. Neither endpoint is among
+        them: ``OsnSnapshot.validate`` rejects a user who lists itself."""
         users = self._snapshot.users
         pa, pb = users.get(a), users.get(b)
         if pa is None or pb is None or a == b:
@@ -92,7 +97,7 @@ class PublicView:
         if self._budget is not None and self._count >= self._budget:
             raise QueryBudgetExceeded(self._budget)
         self._count += 1
-        return (pa.friends & pb.friends) - {a, b}
+        return pa.friends & pb.friends
 
     def public_pictures_of(self, user_id: str) -> list[Picture]:
         profile = self._profile(user_id)

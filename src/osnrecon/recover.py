@@ -8,6 +8,7 @@ no false positives; recall is bounded by how many real friends engaged.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 
 from .oracle import PublicView
@@ -17,24 +18,37 @@ from .oracle import PublicView
 class FriendsFound:
     target: str
     friends: frozenset[str]
-    candidates_checked: int
+    candidates: Set[str]
+
+    @property
+    def candidates_checked(self) -> int:
+        return len(self.candidates)
 
 
-def recover_friends(target: str, oracle: PublicView) -> FriendsFound:
+def recover_friends(
+    target: str, oracle: PublicView, earlier: Mapping[str, FriendsFound] = {}
+) -> FriendsFound:
     """Recover the target's friends visible through picture engagement.
 
-    Each candidate costs one friendship check. The order of the checks
-    does not matter: a query budget trips at the same count in any
-    order, and a victim that trips it is skipped whole.
+    ``earlier`` maps the targets already recovered in the same survey to
+    their results. A candidate ``c`` in it that had the target among its
+    own candidates was checked against the target then, so its answer
+    is reused; every other candidate costs one friendship check. The
+    order of the checks does not matter: a query budget trips at the
+    same count in any order, and a victim that trips it is skipped whole.
     """
-    candidates: set[str] = set()
-    for picture in oracle.public_pictures_of(target):
-        candidates |= picture.likers | picture.commenters
+    pictures = oracle.public_pictures_of(target)
+    candidates = set().union(
+        *(picture.likers for picture in pictures),
+        *(picture.commenters for picture in pictures),
+    )
     candidates.discard(target)
 
-    friends = {candidate for candidate in candidates if oracle.are_friends(candidate, target)}
-    return FriendsFound(
-        target=target,
-        friends=frozenset(friends),
-        candidates_checked=len(candidates),
-    )
+    answered = {c for c in candidates.intersection(earlier) if target in earlier[c].candidates}
+    # In place, the two updates cost O(len(answered)); a copy of the
+    # candidates less the answered ones would cost O(len(candidates)).
+    candidates -= answered
+    friends = {c for c in candidates if oracle.are_friends(c, target)}
+    candidates |= answered
+    friends.update(c for c in answered if target in earlier[c].friends)
+    return FriendsFound(target=target, friends=frozenset(friends), candidates=candidates)

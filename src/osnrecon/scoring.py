@@ -1,11 +1,11 @@
 """Likelihood scoring of retained 2-hop candidates.
 
 A candidate's information score is the sum of its matching rates across
-the three features divided by three; values absent from the rate tables
-(or hidden by privacy) contribute zero. The edge score is the
-candidate's shared-friend count normalized by the pool maximum. The
-FRIEND / NOT FRIEND verdict requires both scores to meet calibrated
-thresholds.
+the features in ``oracle.FEATURES`` divided by their number; values
+absent from the rate tables (or hidden by privacy) contribute zero. The
+edge score is the candidate's shared-friend count normalized by the
+pool maximum. The FRIEND / NOT FRIEND verdict requires both scores to
+meet calibrated thresholds.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .attributes import Rates
-from .oracle import PublicView
+from .oracle import FEATURES, PublicView
 from .twohop import FriendshipGraph, shared_edge_count, two_hop_nodes
 
 FRIEND = "FRIEND"
@@ -48,7 +48,8 @@ class CandidateScore:
 
 def info_score(attrs: dict[str, str] | None, rates: Rates) -> Fraction:
     """Average matching rate of the candidate's visible attributes."""
-    return sum((rates[f].get(v, 0) for f, v in (attrs or {}).items()), Fraction(0)) / 3
+    total = sum((rates[f].get(v, 0) for f, v in (attrs or {}).items()), Fraction(0))
+    return total / len(FEATURES)
 
 
 def score_candidates(

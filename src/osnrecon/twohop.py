@@ -59,14 +59,20 @@ def collect_2hop(victim: str, oracle: PublicView) -> TwoHopSurvey:
 
     Each profile is surveyed once: the victim's friends are distinct.
     Entries for the victim itself are skipped: a pair (friend, victim)
-    carries no new information.
+    carries no new information. Each unordered pair is asked once:
+    recovery reuses the friendship checks of earlier targets, and
+    ``(b, a)`` reuses the mutual friends of ``(a, b)``.
     """
     recovered = recover_friends(victim, oracle)
+    earlier = {victim: recovered}
     mutuals: dict[tuple[str, str], frozenset[str]] = {}
     for friend in sorted(recovered.friends):
-        found = recover_friends(friend, oracle)
+        found = earlier[friend] = recover_friends(friend, oracle, earlier)
         for second in sorted(found.friends - {victim}):
-            mutuals[(friend, second)] = oracle.mutual_friends(friend, second)
+            mirror = mutuals.get((second, friend))
+            mutuals[(friend, second)] = (
+                oracle.mutual_friends(friend, second) if mirror is None else mirror
+            )
     return TwoHopSurvey(victim=victim, recovered=recovered, mutuals=mutuals)
 
 

@@ -66,7 +66,7 @@ def test_private_friends_dilute_rates():
 
 def test_zero_recovered_friends_is_an_error():
     snap = snapshot_with_friends([{"id": "f0"}])
-    empty = FriendsFound(target="v", friends=frozenset(), candidates_checked=0)
+    empty = FriendsFound(target="v", friends=frozenset(), candidates=set())
     with pytest.raises(InferenceError):
         extract_rates(collect_friend_records(empty, PublicView(snap)))
 

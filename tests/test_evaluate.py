@@ -210,7 +210,8 @@ def _logged(name):
     original = getattr(PublicView, name)
 
     def channel(self, *args):
-        self.calls.append((name, args))
+        # A pair question is the same question in either order.
+        self.calls.append((name, frozenset(args)))
         return original(self, *args)
 
     return channel
@@ -229,7 +230,7 @@ def test_queries_equal_channel_calls_and_none_repeats(snapshot, monkeypatch):
     class LoggingView(PublicView):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            self.calls = []  # (channel, args), one per channel call
+            self.calls = []  # (channel, set of ids), one per channel call
             views.append(self)
 
     for name in CHANNELS:

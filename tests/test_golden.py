@@ -26,8 +26,8 @@ ATTRS = [
 
 GENERATE_SHA256 = "fee8f218c3037a2b77756f6cbda5a379b155575f1fc103f244fe4b0d6d2f1d2f"
 INGEST_SHA256 = "51fd63b8d19a801a5d8ddec0ae11be74e8792674334024765144aa1a3bc605af"
-RUN_TREE_SHA256 = "0732f35885e5386fda2570c0fde5d5606489043824a3f6ddb7d5de179f5cf0d7"
-OPTION_TREE_SHA256 = "887c87dd796655dd5a4e0b1e7c9d6363fc2abf03b9862ab80231695a31ab2cf0"
+RUN_TREE_SHA256 = "49267eaa0f0b6d5fc7ae6a791c5ce3c8ee7d8e1b221641088809a1e277fd9e37"
+OPTION_TREE_SHA256 = "a9b87f2fad9c1c140c64a4e5e199449e2b71e8e07a64a463c9930cd2d76c1248"
 CALIBRATE_SHA256 = "66cd1ae77bb729d582cc404edea849407b862ba9d662fcee73b08552b77db740"
 EXPORT_DOT_SHA256 = {
     "pruned": "74032a11d130f2e9e4c05cddff746ab0b2728a13c0473ee0eafed5f073021d57",
@@ -89,7 +89,7 @@ def test_run_artifact_tree_with_options(generated, tmp_path):
     out = tmp_path / "out"
     _run_every_user(generated, out, OPTION_ARGS)
     aggregate = json.loads((out / "aggregate.json").read_text())["aggregate"]
-    assert (aggregate["victims_evaluated"], aggregate["victims_skipped"]) == (25, 35)
+    assert (aggregate["victims_evaluated"], aggregate["victims_skipped"]) == (28, 32)
     reports = [json.loads(path.read_text()) for path in out.glob("*/report.json")]
     evaluated = [report for report in reports if not report["skipped"]]
     # Every evaluated victim scores a single-edge candidate that pruning

@@ -38,17 +38,19 @@ def full_engagement_config(n=20, degree=4.0):
     )
 
 
+def pic(owner, likers):
+    """One public picture of ``owner`` liked by ``likers``."""
+    return {
+        "id": f"{owner}_pic",
+        "owner": owner,
+        "public": True,
+        "likers": likers,
+        "commenters": [],
+    }
+
+
 def path_snapshot():
     # V - A - B path, everyone engages everyone's pictures fully.
-    def pic(owner, likers):
-        return {
-            "id": f"{owner}_pic",
-            "owner": owner,
-            "public": True,
-            "likers": likers,
-            "commenters": [],
-        }
-
     return load_snapshot(
         {
             "users": [
@@ -80,6 +82,27 @@ def test_collect_path_graph():
     # a and b share no third friend.
     assert set(survey.mutuals) == {("a", "b")}
     assert survey.mutuals[("a", "b")] == frozenset()
+
+
+def test_mirror_pair_asked_once():
+    # v's friends a and b are friends and engage each other's pictures,
+    # so the survey meets both (a, b) and (b, a).
+    snap = load_snapshot(
+        {
+            "users": [
+                {"id": "v", "friends": ["a", "b"]},
+                {"id": "a", "friends": ["v", "b"]},
+                {"id": "b", "friends": ["v", "a"]},
+            ],
+            "pictures": [pic("v", ["a", "b"]), pic("a", ["v", "b"]), pic("b", ["v", "a"])],
+        }
+    )
+    view = PublicView(snap)
+    survey = collect_2hop("v", view)
+    assert survey.mutuals == {("a", "b"): {"v"}, ("b", "a"): {"v"}}
+    # Pictures of v, a and b; the pairs {v, a}, {v, b} and {a, b} checked
+    # once each; one mutual-friends call for {a, b}.
+    assert view.query_count == 3 + 3 + 1
 
 
 def test_collect_matches_brute_force_on_corpus():
