@@ -53,7 +53,6 @@ from .evaluate import (
     confusion,
     evaluate_victim,
     metrics,
-    report_value,
     run_experiment,
 )
 from .dotexport import graph_to_dot

@@ -14,7 +14,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,7 +23,6 @@ from .evaluate import (
     EvaluationError,
     ExperimentConfig,
     reconstruct,
-    report_value,
     run_experiment,
 )
 from .model import (
@@ -71,8 +70,9 @@ def _read_json(path):
             raise UsageError(f"{path}: invalid JSON ({exc})") from exc
 
 
-# The GeneratorConfig fields with a flag of their own, in --help order.
-GENERATOR_FLAGS = ("mean_degree", "pictures_per_user", "p_friend", "p_stranger",
+# The GeneratorConfig fields with a flag on generate and ingest, in --help order.
+# Only generate takes --users and --mean-degree: an edge list fixes ingest's graph.
+GENERATOR_FLAGS = ("pictures_per_user", "p_friend", "p_stranger",
                    "p_picture_public", "p_attributes_public", "homophily")
 
 
@@ -80,6 +80,7 @@ def _generator_config(args) -> GeneratorConfig:
     config = GeneratorConfig.from_dict(_read_json(args.config) if args.config else {})
     overrides = {name: getattr(args, name) for name in GENERATOR_FLAGS}
     overrides["n_users"] = getattr(args, "users", None)
+    overrides["mean_degree"] = getattr(args, "mean_degree", None)
     return replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
@@ -189,7 +190,7 @@ def cmd_calibrate(args) -> int:
 
     run_experiment(snapshot, args.victim, placeholder, config, on_victim=label)
     thresholds = calibrate(labeled)
-    text = json_text({**report_value(thresholds), "labeled_candidates": len(labeled)})
+    text = json_text({**asdict(thresholds), "labeled_candidates": len(labeled)})
     if args.out:
         write_atomic(Path(args.out), text)
     print(text, end="")
@@ -228,6 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate a synthetic snapshot")
     p.add_argument("--users", type=int)
+    p.add_argument("--mean-degree", type=float)
     _add_generator_flags(p)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)

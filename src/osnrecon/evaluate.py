@@ -7,7 +7,7 @@ snapshot's ground truth; the stages it drives see only the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable
 
@@ -117,27 +117,6 @@ class VictimResult:
     queries: int = 0
 
 
-def report_value(value):
-    """A value in the form the JSON artifacts carry it.
-
-    A ``Fraction`` becomes ``{"exact": "n/d", "value": float}``; a
-    dataclass becomes a dict of its fields in declaration order; dicts,
-    lists and tuples are rendered item by item; anything else is kept.
-    """
-    kind = type(value)
-    if kind is Fraction:
-        n, d = value.numerator, value.denominator
-        # int / int rounds correctly, as float(value) does, in one call less.
-        return {"exact": f"{n}/{d}", "value": n / d}
-    if kind is dict:
-        return {key: report_value(item) for key, item in value.items()}
-    if kind is list or kind is tuple:
-        return [report_value(item) for item in value]
-    if is_dataclass(kind):
-        return {f.name: report_value(getattr(value, f.name)) for f in fields(kind)}
-    return value
-
-
 def reconstruct(
     snapshot: OsnSnapshot, victim: str, oracle: PublicView, prune: bool
 ) -> tuple[TwoHopSurvey, FriendshipGraph, FriendshipGraph]:
@@ -224,15 +203,11 @@ def _victim_doc(result: VictimResult) -> dict:
                 "two_hop": len(two_hop_nodes(result.graph)),
                 "pruned_out": result.pruned_candidates,
             },
-            **report_value(
-                {
-                    "rates": result.rates,
-                    "rankings": result.rankings,
-                    "scores": result.scores,
-                    "confusion": result.matrix,
-                    "metrics": metrics(result.matrix),
-                }
-            ),
+            "rates": result.rates,
+            "rankings": result.rankings,
+            "scores": result.scores,
+            "confusion": result.matrix,
+            "metrics": metrics(result.matrix),
         }
     )
     return doc
@@ -245,7 +220,8 @@ def run_experiment(
     config: ExperimentConfig = ExperimentConfig(),
     on_victim: Callable[[VictimResult, dict], object] | None = None,
 ) -> dict:
-    """Evaluate each victim in sorted id order and return the report.
+    """Evaluate each victim in sorted id order and return the report, as
+    values for ``model.json_text`` to render.
 
     Each victim's result is handed to ``on_victim`` with its report entry
     and then dropped. The report lists what ``on_victim`` returns for
@@ -269,7 +245,7 @@ def run_experiment(
             guesses[victim] = result.rankings
     del result
 
-    report: dict = {"thresholds": thresholds, "config": config}
+    report: dict = {"thresholds": thresholds, "config": config, "victims": docs}
     count = len(guesses)
     if count:
         mean_cells = {
@@ -299,7 +275,4 @@ def run_experiment(
             "victims_evaluated": 0,
             "victims_skipped": len(docs),
         }
-    # The victim entries are rendered already; they join after the walk.
-    report = report_value(report)
-    report["victims"] = docs
     return report

@@ -15,7 +15,8 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from fractions import Fraction
 
 
 class SnapshotError(Exception):
@@ -148,15 +149,15 @@ class OsnSnapshot:
 
 
 def json_text(document) -> str:
-    """``json.dumps(document, sort_keys=True, indent=2)`` plus a newline.
+    """``json.dumps(document, sort_keys=True, indent=2)`` plus a newline,
+    for pipeline values too: the one renderer of the JSON artifacts.
 
-    ``json.dumps`` falls back to its pure-Python encoder whenever
-    ``indent`` is set. This renders the same text with the C string
-    encoder, and a list of strings in one join. Ints, ``None`` and
-    finite floats are written as ``json.dumps`` writes them; other
-    scalars, empty containers and dicts with a non-string key go through
-    ``json.dumps``, indented to where they sit. A :class:`Rendered` value
-    is spliced in as the text it holds.
+    A ``Fraction`` is written as ``{"exact": "n/d", "value": float}``, a
+    dataclass as the object of its fields, and a :class:`Rendered` value
+    as the text it holds. ``json.dumps`` falls back to its pure-Python
+    encoder whenever ``indent`` is set; this uses the C string encoder.
+    Other scalars and dicts with a non-string key go through
+    ``json.dumps``, so a type it cannot write raises ``TypeError``.
     """
     out: list[str] = []
     _render(document, "\n", out)
@@ -189,15 +190,15 @@ def _render(value, newline: str, out: list[str]) -> None:
         out.append(repr(value))  # what json.dumps writes for these
     elif value is None:
         out.append("null")
-    elif kind is Rendered:
-        out.append(value.text[:-1].replace("\n", newline))
-    elif not isinstance(value, (dict, list, tuple)) or not value:
-        out.append(json.dumps(value))
-    else:
+    elif isinstance(value, (dict, list, tuple)):
+        is_dict = isinstance(value, dict)
+        if not value:
+            out.append("{}" if is_dict else "[]")
+            return
         inner = newline + "  "
         separator = "," + inner
         # encode_basestring_ascii raises TypeError on anything but a string.
-        if isinstance(value, dict):
+        if is_dict:
             keys = sorted(value)
             try:
                 heads = [_encode_str(key) + ": " for key in keys]
@@ -222,6 +223,16 @@ def _render(value, newline: str, out: list[str]) -> None:
             _render(item, inner, out)
             opening = separator
         out.append(newline + "]")
+    elif kind is Rendered:
+        out.append(value.text[:-1].replace("\n", newline))
+    elif kind is Fraction:
+        n, d = value.numerator, value.denominator
+        # int / int rounds correctly, as float(value) does, in one call less.
+        _render({"exact": f"{n}/{d}", "value": n / d}, newline, out)
+    elif is_dataclass(kind):
+        _render({f.name: getattr(value, f.name) for f in fields(kind)}, newline, out)
+    else:
+        out.append(json.dumps(value))
 
 
 def _require(doc: dict, key: str, kind: type, where: str):

@@ -31,10 +31,8 @@ class TwoHopSurvey:
     mutuals: dict[tuple[str, str], frozenset[str]]
 
     def mutuals_document(self) -> dict[str, list[str]]:
-        return {
-            f"{a}&{b}": sorted(self.mutuals[(a, b)])
-            for a, b in sorted(self.mutuals)
-        }
+        # Unsorted: json_text sorts the keys.
+        return {f"{a}&{b}": sorted(common) for (a, b), common in self.mutuals.items()}
 
 
 @dataclass

@@ -3,11 +3,14 @@ oracles kept independent of the library code they check."""
 
 from __future__ import annotations
 
+import json
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 
 from osnrecon import OsnSnapshot, Role, TwoHopSurvey, load_snapshot
 from osnrecon.dotexport import ROLE_COLORS
+from osnrecon.model import Rendered
 
 # Rate tables for the victim's 100 recovered friends. The percentage is
 # realized exactly as count/100.
@@ -186,6 +189,25 @@ def reference_dot(graph) -> str:
         lines.append(f"  {quote(a)} -- {quote(b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def reference(value):
+    """Independent report-value converter: the JSON document whose
+    ``json.dumps`` text ``json_text(value)`` must equal. A ``Fraction``
+    becomes ``{"exact": "n/d", "value": float}``, a dataclass a dict of
+    its fields, a ``Rendered`` the document its text decodes to; dicts,
+    lists and tuples are converted item by item; anything else is kept."""
+    if isinstance(value, Fraction):
+        return {"exact": f"{value.numerator}/{value.denominator}", "value": float(value)}
+    if isinstance(value, Rendered):
+        return json.loads(value.text)
+    if is_dataclass(value):
+        return {f.name: reference(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {key: reference(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [reference(item) for item in value]
+    return value
 
 
 def engaged_users(snapshot: OsnSnapshot, owner: str) -> set[str]:

@@ -197,6 +197,19 @@ def test_ingest_subcommand(tmp_path, capsys):
     assert {u["id"] for u in doc["users"]} == {"a", "b", "c"}
 
 
+def test_ingest_has_no_mean_degree_flag(tmp_path, capsys):
+    # The edge list fixes the friendships, so no mean degree could apply.
+    edges = tmp_path / "edges.txt"
+    edges.write_text("a b\n")
+    out = tmp_path / "snap.json"
+    argv = ["ingest", "--edges", str(edges), "--seed", "3", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--mean-degree", "5"])
+    assert exc.value.code == 2
+    assert "--mean-degree" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_calibrate_subcommand(tmp_path, capsys):
     snap = tmp_path / "snap.json"
     assert main(

@@ -1,13 +1,19 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osnrecon import (
+    FRIEND,
+    NOT_FRIEND,
+    CandidateScore,
+    ConfusionMatrix,
     GeneratorConfig,
     IntegrityError,
+    Metrics,
     SchemaError,
     SnapshotError,
     generate_synthetic,
@@ -19,7 +25,7 @@ from osnrecon import (
 import osnrecon.model
 from osnrecon.model import Rendered, json_text
 
-from helpers import worked_example_document
+from helpers import reference, worked_example_document
 
 
 def minimal_document():
@@ -368,3 +374,43 @@ def test_json_text_splices_rendered_text(document):
 )
 def test_json_text_non_string_keys_and_empty_containers(document):
     assert json_text(document) == json.dumps(document, sort_keys=True, indent=2) + "\n"
+
+
+fractions = st.fractions(-(10**6), 10**6, max_denominator=10**6) | st.sampled_from(
+    [Fraction(0), Fraction(1), Fraction(7, 3), Fraction(10**20, 3)]
+)
+optional_fractions = st.none() | fractions
+report_leaves = (
+    json_scalars
+    | fractions
+    | st.builds(
+        CandidateScore,
+        candidate=st.text(max_size=4),
+        info_score=fractions,
+        shared_edges=st.integers(0, 50),
+        edge_score=fractions,
+        combined=fractions,
+        verdict=st.sampled_from([None, FRIEND, NOT_FRIEND]),
+    )
+    | st.builds(ConfusionMatrix, *[st.integers(0, 500)] * 4)
+    | st.builds(Metrics, optional_fractions, optional_fractions, optional_fractions)
+)
+report_trees = st.recursive(
+    report_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    | inner.map(lambda value: Rendered(json_text(value))),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(report_trees)
+def test_json_text_renders_report_values(value):
+    assert json_text(value) == json.dumps(reference(value), sort_keys=True, indent=2) + "\n"
+
+
+def test_json_text_rejects_unknown_types():
+    with pytest.raises(TypeError):
+        json_text({"a": [object()]})
