@@ -102,7 +102,6 @@ class ExperimentConfig:
 @dataclass
 class VictimResult:
     victim: str
-    skipped: bool = False
     skip_reason: str | None = None
     survey: TwoHopSurvey | None = None
     graph: FriendshipGraph | None = None
@@ -115,6 +114,10 @@ class VictimResult:
     truth: dict[str, bool] = field(default_factory=dict)  # candidate -> is a friend
     matrix: ConfusionMatrix | None = None
     queries: int = 0
+
+    @property
+    def skipped(self) -> bool:
+        return self.skip_reason is not None
 
 
 def reconstruct(
@@ -144,7 +147,7 @@ def evaluate_victim(
     try:
         result = _attack(snapshot, victim, oracle, thresholds, config)
     except QueryBudgetExceeded:
-        result = VictimResult(victim=victim, skipped=True, skip_reason="budget exhausted")
+        result = VictimResult(victim=victim, skip_reason="budget exhausted")
     result.queries = oracle.query_count
     return result
 
@@ -162,7 +165,6 @@ def _attack(
     )
     recovered = result.survey.recovered
     if not recovered.friends:
-        result.skipped = True
         result.skip_reason = "no friends recovered"
         return result
     result.pruned_candidates = sorted(result.graph.roles.keys() - result.pruned_graph.roles)

@@ -17,6 +17,7 @@ import math
 import random
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
+from operator import attrgetter, itemgetter
 
 
 class SnapshotError(Exception):
@@ -49,7 +50,6 @@ ATTRIBUTES = {
 @dataclass(frozen=True)
 class Picture:
     id: str
-    owner: str
     public: bool
     likers: frozenset[str] = frozenset()
     commenters: frozenset[str] = frozenset()
@@ -57,9 +57,8 @@ class Picture:
 
 @dataclass(frozen=True)
 class UserProfile:
-    id: str
     friends: frozenset[str] = frozenset()
-    pictures: frozenset[str] = frozenset()
+    pictures: tuple[Picture, ...] = ()  # the user's own, sorted by id
     # attribute -> canonical label, only for the attributes filled in
     attributes: dict[str, str] = field(default_factory=dict)
     friends_list_public: bool = False
@@ -68,16 +67,16 @@ class UserProfile:
 
 @dataclass(frozen=True)
 class OsnSnapshot:
-    """Ground-truth snapshot.
+    """Ground-truth snapshot: user id -> profile.
 
-    The dataclasses are frozen, but ``users``, ``pictures`` and each
-    profile's ``attributes`` are plain dicts. Nothing in the package
-    writes to them after the snapshot is built, and the oracle hands out
-    copies, never the stored dicts.
+    Each fact is stored once. A picture belongs to the profile that holds
+    it, and a profile's id is its key in ``users``. The dataclasses are
+    frozen, but ``users`` and each profile's ``attributes`` are plain
+    dicts. Nothing in the package writes to them after the snapshot is
+    built, and the oracle hands out copies, never the stored dicts.
     """
 
     users: dict[str, UserProfile]
-    pictures: dict[str, Picture]
 
     def validate(self) -> None:
         for uid, user in self.users.items():
@@ -93,22 +92,12 @@ class OsnSnapshot:
                     raise IntegrityError(
                         f"asymmetric friendship: {uid!r} lists {fid!r} but not vice versa"
                     )
-            for pid in user.pictures:
-                pic = self.pictures.get(pid)
-                if pic is None:
-                    raise IntegrityError(f"user {uid!r} references unknown picture {pid!r}")
-                if pic.owner != uid:
-                    raise IntegrityError(
-                        f"picture {pid!r} owned by {pic.owner!r} but listed by {uid!r}"
-                    )
-        for pid, pic in self.pictures.items():
-            if pic.owner not in self.users:
-                raise IntegrityError(f"picture {pid!r} has unknown owner {pic.owner!r}")
-            if pid not in self.users[pic.owner].pictures:
-                raise IntegrityError(f"picture {pid!r} missing from owner's picture set")
-            for uid in pic.likers | pic.commenters:
-                if uid not in self.users:
-                    raise IntegrityError(f"picture {pid!r} engaged by unknown user {uid!r}")
+            for pic in user.pictures:
+                for engager in pic.likers | pic.commenters:
+                    if engager not in self.users:
+                        raise IntegrityError(
+                            f"picture {pic.id!r} engaged by unknown user {engager!r}"
+                        )
 
     def friendship_edges(self) -> set[tuple[str, str]]:
         """All ground-truth edges as sorted pairs."""
@@ -134,14 +123,16 @@ class OsnSnapshot:
             users.append(entry)
         pictures = [
             {
-                "id": pid,
-                "owner": self.pictures[pid].owner,
-                "public": self.pictures[pid].public,
-                "likers": sorted(self.pictures[pid].likers),
-                "commenters": sorted(self.pictures[pid].commenters),
+                "id": pic.id,
+                "owner": uid,
+                "public": pic.public,
+                "likers": sorted(pic.likers),
+                "commenters": sorted(pic.commenters),
             }
-            for pid in sorted(self.pictures)
+            for uid, user in self.users.items()
+            for pic in user.pictures
         ]
+        pictures.sort(key=itemgetter("id"))
         return {"users": users, "pictures": pictures}
 
     def to_json(self) -> str:
@@ -279,23 +270,25 @@ def load_snapshot(document: dict) -> OsnSnapshot:
     if not isinstance(picture_docs, list):
         raise SchemaError("snapshot: field 'pictures' must be a list")
 
-    pictures: dict[str, Picture] = {}
-    owned: dict[str, set[str]] = {}
+    seen: set[str] = set()
+    owned: dict[str, list[Picture]] = {}
     for pdoc in picture_docs:
         if not isinstance(pdoc, dict):
             raise SchemaError("picture entry must be an object")
         pid = _require(pdoc, "id", str, "picture")
         where = f"picture {pid!r}"
-        if pid in pictures:
+        if pid in seen:
             raise SchemaError(f"{where}: duplicate picture id")
-        pictures[pid] = Picture(
-            id=pid,
-            owner=_require(pdoc, "owner", str, where),
-            public=_require(pdoc, "public", bool, where),
-            likers=_id_set(pdoc, "likers", where),
-            commenters=_id_set(pdoc, "commenters", where),
+        seen.add(pid)
+        owner = _require(pdoc, "owner", str, where)
+        owned.setdefault(owner, []).append(
+            Picture(
+                id=pid,
+                public=_require(pdoc, "public", bool, where),
+                likers=_id_set(pdoc, "likers", where),
+                commenters=_id_set(pdoc, "commenters", where),
+            )
         )
-        owned.setdefault(pictures[pid].owner, set()).add(pid)
 
     users: dict[str, UserProfile] = {}
     for udoc in user_docs:
@@ -311,9 +304,8 @@ def load_snapshot(document: dict) -> OsnSnapshot:
         if not isinstance(privacy_doc, dict):
             raise SchemaError(f"{where}: field 'privacy' must be an object")
         users[uid] = UserProfile(
-            id=uid,
             friends=_id_set(udoc, "friends", where),
-            pictures=frozenset(owned.get(uid, set())),
+            pictures=tuple(sorted(owned.pop(uid, ()), key=attrgetter("id"))),
             attributes={
                 key: label
                 for key in ATTRIBUTES
@@ -323,7 +315,9 @@ def load_snapshot(document: dict) -> OsnSnapshot:
             attributes_public=_flag(privacy_doc, "attributes_public", True, where),
         )
 
-    snapshot = OsnSnapshot(users=users, pictures=pictures)
+    for owner, orphans in owned.items():  # pictures no user claims
+        raise IntegrityError(f"picture {orphans[0].id!r} has unknown owner {owner!r}")
+    snapshot = OsnSnapshot(users=users)
     snapshot.validate()
     return snapshot
 
@@ -510,11 +504,11 @@ def _synthesize_activity(
         for uid in ids
     }
 
-    pictures: dict[str, Picture] = {}
-    owned: dict[str, set[str]] = {uid: set() for uid in ids}
+    users: dict[str, UserProfile] = {}
     for uid in ids:
         friends = adjacency[uid]
         ordered_friends = sorted(friends)
+        pictures = []
         for k in range(config.pictures_per_user):
             pid = f"{uid}_p{k}"
             public = rng.random() < config.p_picture_public
@@ -533,23 +527,18 @@ def _synthesize_activity(
                     hits -= friends
                     hits.discard(uid)
                     engaged |= hits
-            pictures[pid] = Picture(
-                id=pid, owner=uid, public=public,
+            pictures.append(Picture(
+                id=pid, public=public,
                 likers=frozenset(likers), commenters=frozenset(commenters),
-            )
-            owned[uid].add(pid)
-
-    users = {
-        uid: UserProfile(
-            id=uid,
-            friends=frozenset(adjacency[uid]),
-            pictures=frozenset(owned[uid]),
+            ))
+        pictures.sort(key=attrgetter("id"))
+        users[uid] = UserProfile(
+            friends=frozenset(friends),
+            pictures=tuple(pictures),
             attributes=attributes[uid],
             **privacy[uid],
         )
-        for uid in ids
-    }
-    snapshot = OsnSnapshot(users=users, pictures=pictures)
+    snapshot = OsnSnapshot(users=users)
     snapshot.validate()
     return snapshot
 

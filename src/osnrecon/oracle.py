@@ -102,11 +102,7 @@ class PublicView:
     def public_pictures_of(self, user_id: str) -> list[Picture]:
         profile = self._profile(user_id)
         self._charge()
-        return [
-            self._snapshot.pictures[pid]
-            for pid in sorted(profile.pictures)
-            if self._snapshot.pictures[pid].public
-        ]
+        return [p for p in profile.pictures if p.public]
 
     def public_attributes_of(self, user_id: str) -> dict[str, str] | None:
         """Feature -> label for the features the user filled in, or None

@@ -213,8 +213,7 @@ def reference(value):
 def engaged_users(snapshot: OsnSnapshot, owner: str) -> set[str]:
     """Everyone who liked or commented one of ``owner``'s public pictures."""
     users: set[str] = set()
-    for pid in snapshot.users[owner].pictures:
-        pic = snapshot.pictures[pid]
+    for pic in snapshot.users[owner].pictures:
         if pic.public:
             users |= set(pic.likers) | set(pic.commenters)
     users.discard(owner)

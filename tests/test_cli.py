@@ -288,6 +288,10 @@ def test_out_of_range_options_exit_2(tmp_path, capsys, command, flags):
         ("run", "--snapshot", '{"users": [{"id": "a", "friends": []}], "pictures": [{"id": "p",'
          ' "owner": "a", "public": true, "likers": [{"id": "a"}], "commenters": []}]}'),
         ("run", "--snapshot", '{"users": ["a"]}'),
+        ("run", "--snapshot", '{"users": [{"id": "a", "friends": []}, {"id": "a", "friends": []}]}'),
+        ("run", "--snapshot", '{"users": [{"id": "a", "friends": []}], "pictures": ['
+         '{"id": "p", "owner": "a", "public": true, "likers": [], "commenters": []}, '
+         '{"id": "p", "owner": "a", "public": false, "likers": [], "commenters": []}]}'),
         # Bytes that are not UTF-8.
         ("generate", "--config", b'{"cities": ["\xff"]}'),
         ("ingest", "--attrs", b"\xfe\xff[]"),

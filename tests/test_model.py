@@ -125,9 +125,10 @@ class TestGenerator:
         snap = generate_synthetic(config, seed=1)
         ids = sorted(snap.users)
         assert snap.users[ids[0]].friends == frozenset({ids[1]})
-        for pid, pic in snap.pictures.items():
-            other = ids[1] if pic.owner == ids[0] else ids[0]
-            assert other in pic.likers
+        for owner, user in snap.users.items():
+            other = ids[1] if owner == ids[0] else ids[0]
+            for pic in user.pictures:
+                assert other in pic.likers
 
     def test_determinism_same_seed(self):
         config = GeneratorConfig(n_users=30, mean_degree=5.0)
@@ -160,14 +161,15 @@ class TestGenerator:
             for engagement in ("likers", "commenters"):
                 friend_trials = friend_hits = 0
                 stranger_trials = stranger_hits = 0
-                for pic in snap.pictures.values():
-                    engaged = getattr(pic, engagement)
-                    friends = snap.users[pic.owner].friends
-                    assert pic.owner not in engaged
-                    friend_trials += len(friends)
-                    stranger_trials += len(snap.users) - 1 - len(friends)
-                    friend_hits += len(engaged & friends)
-                    stranger_hits += len(engaged - friends)
+                for owner, user in snap.users.items():
+                    for pic in user.pictures:
+                        engaged = getattr(pic, engagement)
+                        friends = user.friends
+                        assert owner not in engaged
+                        friend_trials += len(friends)
+                        stranger_trials += len(snap.users) - 1 - len(friends)
+                        friend_hits += len(engaged & friends)
+                        stranger_hits += len(engaged - friends)
                 for hits, trials, p in (
                     (friend_hits, friend_trials, 0.6),
                     (stranger_hits, stranger_trials, p_stranger),
@@ -183,12 +185,13 @@ class TestGenerator:
             p_picture_public=1.0,
         )
         snap = generate_synthetic(config, seed=3)
-        for pic in snap.pictures.values():
-            friends = snap.users[pic.owner].friends
-            strangers = set(snap.users) - friends - {pic.owner}
-            for engaged in (pic.likers, pic.commenters):
-                assert pic.owner not in engaged
-                assert engaged - friends == (strangers if p_stranger else set())
+        for owner, user in snap.users.items():
+            friends = user.friends
+            strangers = set(snap.users) - friends - {owner}
+            for pic in user.pictures:
+                for engaged in (pic.likers, pic.commenters):
+                    assert owner not in engaged
+                    assert engaged - friends == (strangers if p_stranger else set())
 
     @pytest.mark.parametrize("p_stranger", [5e-324, 1e-300])
     def test_tiny_stranger_probability_generates(self, p_stranger):
@@ -323,9 +326,10 @@ def _loaded(tmp_path):
 def test_snapshot_holds_one_object_per_id(tmp_path, build):
     snap = build(tmp_path)
     key = {uid: uid for uid in snap.users}  # each id to the key object itself
-    refs = [ref for user in snap.users.values() for ref in (user.id, *user.friends)]
-    for picture in snap.pictures.values():
-        refs += [picture.owner, *picture.likers, *picture.commenters]
+    refs = [ref for user in snap.users.values() for ref in user.friends]
+    for user in snap.users.values():
+        for picture in user.pictures:
+            refs += [*picture.likers, *picture.commenters]
     assert len(refs) > 2 * len(key)
     assert all(key[ref] is ref for ref in refs)
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import threading
 
 import pytest
@@ -64,6 +65,25 @@ def test_public_pictures_only():
     pictures = view.public_pictures_of("a")
     assert [p.id for p in pictures] == ["p1"]
     assert pictures[0].likers == frozenset({"b"})
+
+
+def test_pictures_listed_out_of_id_order_come_back_in_id_order():
+    def pic(pid, owner, public=True):
+        return {"id": pid, "owner": owner, "public": public, "likers": [], "commenters": []}
+
+    snap = load_snapshot(
+        {
+            "users": [{"id": "a", "friends": []}, {"id": "b", "friends": []}],
+            "pictures": [
+                pic("p10", "a"), pic("p15", "b"), pic("p3", "a", public=False),
+                pic("p2", "a"), pic("p1", "a"),
+            ],
+        }
+    )
+    view = PublicView(snap)
+    assert [p.id for p in view.public_pictures_of("a")] == ["p1", "p10", "p2"]
+    listed = [p["id"] for p in json.loads(snap.to_json())["pictures"]]
+    assert listed == ["p1", "p10", "p15", "p2", "p3"]
 
 
 def test_attributes_respect_privacy():
