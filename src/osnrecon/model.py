@@ -281,14 +281,12 @@ def load_snapshot(document: dict) -> OsnSnapshot:
             raise SchemaError(f"{where}: duplicate picture id")
         seen.add(pid)
         owner = _require(pdoc, "owner", str, where)
-        owned.setdefault(owner, []).append(
-            Picture(
-                id=pid,
-                public=_require(pdoc, "public", bool, where),
-                likers=_id_set(pdoc, "likers", where),
-                commenters=_id_set(pdoc, "commenters", where),
-            )
-        )
+        owned.setdefault(owner, []).append(Picture(
+            id=pid,
+            public=_require(pdoc, "public", bool, where),
+            likers=_id_set(pdoc, "likers", where),
+            commenters=_id_set(pdoc, "commenters", where),
+        ))
 
     users: dict[str, UserProfile] = {}
     for udoc in user_docs:
@@ -531,7 +529,7 @@ def _synthesize_activity(
                 id=pid, public=public,
                 likers=frozenset(likers), commenters=frozenset(commenters),
             ))
-        pictures.sort(key=attrgetter("id"))
+        pictures.sort(key=attrgetter("id"))  # as text: "_p10" before "_p2"
         users[uid] = UserProfile(
             friends=frozenset(friends),
             pictures=tuple(pictures),

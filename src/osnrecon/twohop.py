@@ -30,9 +30,13 @@ class TwoHopSurvey:
     recovered: FriendsFound
     mutuals: dict[tuple[str, str], frozenset[str]]
 
-    def mutuals_document(self) -> dict[str, list[str]]:
-        # Unsorted: json_text sorts the keys.
-        return {f"{a}&{b}": sorted(common) for (a, b), common in self.mutuals.items()}
+    def mutuals_document(self) -> dict[str, dict[str, list[str]]]:
+        """friend -> friend-of-friend -> their mutual friends, one entry
+        per surveyed pair, whatever characters the ids hold."""
+        document: dict[str, dict[str, list[str]]] = {}
+        for (a, b), common in self.mutuals.items():
+            document.setdefault(a, {})[b] = sorted(common)  # json_text sorts the keys
+        return document
 
 
 @dataclass

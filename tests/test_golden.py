@@ -26,8 +26,8 @@ ATTRS = [
 
 GENERATE_SHA256 = "fee8f218c3037a2b77756f6cbda5a379b155575f1fc103f244fe4b0d6d2f1d2f"
 INGEST_SHA256 = "51fd63b8d19a801a5d8ddec0ae11be74e8792674334024765144aa1a3bc605af"
-RUN_TREE_SHA256 = "49267eaa0f0b6d5fc7ae6a791c5ce3c8ee7d8e1b221641088809a1e277fd9e37"
-OPTION_TREE_SHA256 = "a9b87f2fad9c1c140c64a4e5e199449e2b71e8e07a64a463c9930cd2d76c1248"
+RUN_TREE_SHA256 = "40d638c857a0917c1c7859b26d5159605592ef488cd6d6b52eaf63bb33e1cfb6"
+OPTION_TREE_SHA256 = "3f182b464635e55faeeff87593a69d2e7ca5876bd4dfe31d33bc33b86c21e1c6"
 CALIBRATE_SHA256 = "66cd1ae77bb729d582cc404edea849407b862ba9d662fcee73b08552b77db740"
 EXPORT_DOT_SHA256 = {
     "pruned": "74032a11d130f2e9e4c05cddff746ab0b2728a13c0473ee0eafed5f073021d57",

@@ -105,6 +105,30 @@ def test_mirror_pair_asked_once():
     assert view.query_count == 3 + 3 + 1
 
 
+def test_mutuals_document_keeps_pairs_whose_joined_ids_collide():
+    # (x, y&z) and (x&y, z) would both read "x&y&z" as one joined key.
+    snap = load_snapshot(
+        {
+            "users": [
+                {"id": "v", "friends": ["x", "x&y"]},
+                {"id": "x", "friends": ["v", "x&y", "y&z"]},
+                {"id": "x&y", "friends": ["v", "x", "z"]},
+                {"id": "y&z", "friends": ["x"]},
+                {"id": "z", "friends": ["x&y"]},
+            ],
+            "pictures": [
+                pic("v", ["x", "x&y"]), pic("x", ["v", "x&y", "y&z"]), pic("x&y", ["v", "x", "z"]),
+            ],
+        }
+    )
+    survey = collect_2hop("v", PublicView(snap))
+    assert len(survey.mutuals) == 4
+    assert survey.mutuals_document() == {
+        "x": {"x&y": ["v"], "y&z": []},
+        "x&y": {"x": ["v"], "z": []},
+    }
+
+
 def test_collect_matches_brute_force_on_corpus():
     snap = generate_synthetic(full_engagement_config(n=40, degree=6.0), seed=21)
     victim = sorted(snap.users)[0]
