@@ -93,11 +93,15 @@ def _default_out(args) -> Path:
     return Path("osnrecon-out")
 
 
+def _write_snapshot(snapshot, out) -> int:
+    write_atomic(Path(out), snapshot.to_json())
+    print(f"wrote snapshot with {len(snapshot.users)} users to {out}")
+    return 0
+
+
 def cmd_generate(args) -> int:
     snapshot = generate_synthetic(_generator_config(args), seed=args.seed)
-    write_atomic(Path(args.out), snapshot.to_json())
-    print(f"wrote snapshot with {len(snapshot.users)} users to {args.out}")
-    return 0
+    return _write_snapshot(snapshot, args.out)
 
 
 def cmd_ingest(args) -> int:
@@ -110,9 +114,7 @@ def cmd_ingest(args) -> int:
     snapshot = ingest_edge_list(
         lines, _generator_config(args), seed=args.seed, attribute_rows=attribute_rows
     )
-    write_atomic(Path(args.out), snapshot.to_json())
-    print(f"wrote snapshot with {len(snapshot.users)} users to {args.out}")
-    return 0
+    return _write_snapshot(snapshot, args.out)
 
 
 def _victim_files(result, victim_doc: dict) -> dict[str, str]:
@@ -210,13 +212,6 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
-def _add_generator_flags(parser) -> None:
-    parser.add_argument("--config", help="JSON file with generator options")
-    for name in GENERATOR_FLAGS:
-        kind = type(getattr(GeneratorConfig, name))  # the type of the default
-        parser.add_argument("--" + name.replace("_", "-"), type=kind, dest=name)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="osnrecon",
@@ -227,47 +222,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="generate a synthetic snapshot")
+    builder = argparse.ArgumentParser(add_help=False)  # shared by generate and ingest
+    builder.add_argument("--config", help="JSON file with generator options")
+    for name in GENERATOR_FLAGS:
+        kind = type(getattr(GeneratorConfig, name))  # the type of the default
+        builder.add_argument("--" + name.replace("_", "-"), type=kind, dest=name)
+    builder.add_argument("--seed", type=int, required=True)
+    builder.add_argument("--out", required=True)
+    attack = argparse.ArgumentParser(add_help=False)  # shared by run, calibrate, export-dot
+    attack.add_argument("--snapshot", required=True)
+    attack.add_argument("--no-prune", action="store_true")
+    attack.add_argument("--budget", type=int)
+    attack.add_argument("--out")
+
+    p = sub.add_parser("generate", parents=[builder], help="generate a synthetic snapshot")
     p.add_argument("--users", type=int)
     p.add_argument("--mean-degree", type=float)
-    _add_generator_flags(p)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("ingest", help="build a snapshot from an edge list")
+    p = sub.add_parser("ingest", parents=[builder], help="build a snapshot from an edge list")
     p.add_argument("--edges", required=True, help="whitespace-separated pairs, one per line")
     p.add_argument("--attrs", help="JSON array of {id, feature, value}")
-    _add_generator_flags(p)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("run", help="run the full pipeline on victims")
-    p.add_argument("--snapshot", required=True)
+    p = sub.add_parser("run", parents=[attack], help="run the full pipeline on victims")
     p.add_argument("--victim", action="append", required=True)
     p.add_argument("--best-info", type=float, default=0.0, dest="best_info")
     p.add_argument("--best-edges", type=float, default=0.0, dest="best_edges")
-    p.add_argument("--no-prune", action="store_true")
     p.add_argument("--count-pruned-as-negative", action="store_true")
-    p.add_argument("--budget", type=int)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("calibrate", help="grid-search thresholds against ground truth")
-    p.add_argument("--snapshot", required=True)
+    p = sub.add_parser(
+        "calibrate", parents=[attack], help="grid-search thresholds against ground truth"
+    )
     p.add_argument("--victim", action="append", required=True)
-    p.add_argument("--no-prune", action="store_true")
-    p.add_argument("--budget", type=int)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("export-dot", help="export a victim's 2-hop graph as DOT")
-    p.add_argument("--snapshot", required=True)
+    p = sub.add_parser(
+        "export-dot", parents=[attack], help="export a victim's 2-hop graph as DOT"
+    )
     p.add_argument("--victim", required=True)
-    p.add_argument("--no-prune", action="store_true")
-    p.add_argument("--budget", type=int)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_export_dot)
 
     return parser

@@ -79,6 +79,10 @@ class OsnSnapshot:
     users: dict[str, UserProfile]
 
     def validate(self) -> None:
+        """Check a snapshot read from a document or built by hand: non-empty
+        ids, symmetric friendships without self-pairs, known friends and
+        engagers. The generator and ``ingest_edge_list`` build valid
+        snapshots by construction, so only ``load_snapshot`` calls it."""
         for uid, user in self.users.items():
             if not uid:
                 raise IntegrityError("empty user id")
@@ -294,8 +298,6 @@ def load_snapshot(document: dict) -> OsnSnapshot:
             raise SchemaError("user entry must be an object")
         uid = _require(udoc, "id", str, "user")
         where = f"user {uid!r}"
-        if not uid:
-            raise SchemaError("user: empty id")
         if uid in users:
             raise SchemaError(f"{where}: duplicate user id")
         privacy_doc = udoc.get("privacy", {})
@@ -493,7 +495,8 @@ def _synthesize_activity(
     rng: random.Random,
 ) -> OsnSnapshot:
     """Assemble a snapshot from a fixed friendship graph plus generated
-    privacy flags, pictures, and engagement."""
+    privacy flags, pictures, and engagement. ``adjacency`` must be
+    symmetric, without self-pairs: the snapshot is not validated."""
     privacy = {
         uid: {
             "friends_list_public": rng.random() < config.p_friends_list_public,
@@ -536,9 +539,7 @@ def _synthesize_activity(
             attributes=attributes[uid],
             **privacy[uid],
         )
-    snapshot = OsnSnapshot(users=users)
-    snapshot.validate()
-    return snapshot
+    return OsnSnapshot(users=users)
 
 
 def generate_synthetic(config: GeneratorConfig, seed: int) -> OsnSnapshot:
@@ -550,7 +551,7 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> OsnSnapshot:
     ids = [f"u{idx:0{width}d}" for idx in range(n)]
 
     adjacency: dict[str, set[str]] = {uid: set() for uid in ids}
-    for i, j in sorted(_random_edges(n, config.mean_degree, rng)):
+    for i, j in _random_edges(n, config.mean_degree, rng):
         adjacency[ids[i]].add(ids[j])
         adjacency[ids[j]].add(ids[i])
 

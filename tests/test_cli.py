@@ -45,6 +45,41 @@ def test_readme_lists_every_subcommand():
     assert documented == set(subparsers.choices)
 
 
+# Each subcommand's options, and which of them are required. Moving options
+# into a shared parser must neither drop nor add one.
+GENERATOR_OPTIONS = {
+    "--config", "--pictures-per-user", "--p-friend", "--p-stranger", "--p-picture-public",
+    "--p-attributes-public", "--homophily", "--seed", "--out", "-h", "--help",
+}
+ATTACK_OPTIONS = {"--snapshot", "--victim", "--no-prune", "--budget", "--out", "-h", "--help"}
+SUBCOMMAND_OPTIONS = {
+    "generate": (GENERATOR_OPTIONS | {"--users", "--mean-degree"}, {"--seed", "--out"}),
+    "ingest": (GENERATOR_OPTIONS | {"--edges", "--attrs"}, {"--seed", "--out", "--edges"}),
+    "run": (
+        ATTACK_OPTIONS | {"--best-info", "--best-edges", "--count-pruned-as-negative"},
+        {"--snapshot", "--victim"},
+    ),
+    "calibrate": (ATTACK_OPTIONS, {"--snapshot", "--victim"}),
+    "export-dot": (ATTACK_OPTIONS, {"--snapshot", "--victim"}),
+}
+
+
+def test_each_subcommand_keeps_its_options():
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    found = {
+        name: (
+            {option for action in parser._actions for option in action.option_strings},
+            {option for action in parser._actions if action.required
+             for option in action.option_strings},
+        )
+        for name, parser in subparsers.choices.items()
+    }
+    assert found == SUBCOMMAND_OPTIONS
+
+
 def test_run_missing_victim_names_id(tmp_path, capsys):
     snap = write_worked_example(tmp_path)
     out = tmp_path / "o"
@@ -288,6 +323,7 @@ def test_out_of_range_options_exit_2(tmp_path, capsys, command, flags):
         ("run", "--snapshot", '{"users": [{"id": "a", "friends": []}], "pictures": [{"id": "p",'
          ' "owner": "a", "public": true, "likers": [{"id": "a"}], "commenters": []}]}'),
         ("run", "--snapshot", '{"users": ["a"]}'),
+        ("run", "--snapshot", '{"users": [{"id": "", "friends": []}]}'),
         ("run", "--snapshot", '{"users": [{"id": "a", "friends": []}, {"id": "a", "friends": []}]}'),
         ("run", "--snapshot", '{"users": [{"id": "a", "friends": []}], "pictures": ['
          '{"id": "p", "owner": "a", "public": true, "likers": [], "commenters": []}, '

@@ -305,6 +305,38 @@ class TestIngest:
                 attribute_rows=[{"id": "ghost", "feature": "hometown", "value": "x"}],
             )
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 10**6))
+    def test_ingested_snapshots_validate(self, data, seed):
+        ids = st.sampled_from(["a", "b", "c", "d", "e", "f"])
+        pairs = data.draw(
+            st.lists(st.tuples(ids, ids).filter(lambda p: p[0] != p[1]), min_size=1, max_size=20)
+        )
+        # Some pairs again in reverse, among comments and blank lines.
+        lines = [f"{a} {b}\n" for a, b in pairs]
+        lines += [f"{b}\t{a}\n" for a, b in pairs if data.draw(st.booleans())]
+        lines += data.draw(st.lists(st.sampled_from(["\n", "  \n", "# a b\n", "#c d e"])))
+        lines = data.draw(st.permutations(lines))
+        users = sorted({uid for pair in pairs for uid in pair})
+        rows = data.draw(st.none() | st.lists(
+            st.tuples(st.sampled_from(users), st.sampled_from(["hometown", "education"]),
+                      st.sampled_from(["Rome", "padua"])),
+            unique_by=lambda row: row[:2],
+        ))
+        attribute_rows = (
+            None if rows is None
+            else [{"id": uid, "feature": f, "value": value} for uid, f, value in rows]
+        )
+        config = GeneratorConfig(p_stranger=0.3)
+        snap = ingest_edge_list(lines, config, seed, attribute_rows=attribute_rows)
+        snap.validate()
+        assert snap.friendship_edges() == {(min(p), max(p)) for p in pairs}
+        if rows is not None:
+            assert {
+                (uid, f, label) for uid, user in snap.users.items()
+                for f, label in user.attributes.items()
+            } == {(uid, f, value.casefold()) for uid, f, value in rows}
+
 
 def _generated(tmp_path):
     return generate_synthetic(GeneratorConfig(n_users=60, p_stranger=0.05), seed=3)
