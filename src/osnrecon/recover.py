@@ -2,8 +2,9 @@
 
 Everyone who liked or commented one of the target's public pictures is a
 candidate; each candidate is then verified with a pairwise friendship
-check through the oracle. Verification is exact, so the result contains
-no false positives; recall is bounded by how many real friends engaged.
+check through the oracle, unless the caller already holds the answer.
+Verification is exact, so the result contains no false positives;
+recall is bounded by how many real friends engaged.
 """
 
 from __future__ import annotations
@@ -26,15 +27,14 @@ class FriendsFound:
 
 
 def recover_friends(
-    target: str, oracle: PublicView, earlier: Mapping[str, FriendsFound] = {}
+    target: str, oracle: PublicView, held: Mapping[str, bool] = {}
 ) -> FriendsFound:
     """Recover the target's friends visible through picture engagement.
 
-    ``earlier`` maps the targets already recovered in the same survey to
-    their results. A candidate ``c`` in it that had the target among its
-    own candidates was checked against the target then, so its answer
-    is reused; every other candidate costs one friendship check. The
-    order of the checks does not matter: a query budget trips at the
+    ``held`` maps ids to whether each is a friend of the target, for the
+    facts the caller has already paid for. A candidate in it is settled
+    by that answer; every other candidate costs one friendship check.
+    The order of the checks does not matter: a query budget trips at the
     same count in any order, and a victim that trips it is skipped whole.
     """
     pictures = oracle.public_pictures_of(target)
@@ -44,11 +44,11 @@ def recover_friends(
     )
     candidates.discard(target)
 
-    answered = {c for c in candidates.intersection(earlier) if target in earlier[c].candidates}
-    # In place, the two updates cost O(len(answered)); a copy of the
-    # candidates less the answered ones would cost O(len(candidates)).
-    candidates -= answered
+    settled = candidates & held.keys()
+    # In place, the two updates cost O(len(settled)); a copy of the
+    # candidates less the settled ones would cost O(len(candidates)).
+    candidates -= settled
     friends = {c for c in candidates if oracle.are_friends(c, target)}
-    candidates |= answered
-    friends.update(c for c in answered if target in earlier[c].friends)
+    candidates |= settled
+    friends.update(c for c in settled if held[c])
     return FriendsFound(target=target, friends=frozenset(friends), candidates=candidates)

@@ -61,20 +61,28 @@ def collect_2hop(victim: str, oracle: PublicView) -> TwoHopSurvey:
 
     Each profile is surveyed once: the victim's friends are distinct.
     Entries for the victim itself are skipped: a pair (friend, victim)
-    carries no new information. Each unordered pair is asked once:
-    recovery reuses the friendship checks of earlier targets, and
-    ``(b, a)`` reuses the mutual friends of ``(a, b)``.
+    carries no new information. Each fact is paid for once: ``(b, a)``
+    reuses the mutual friends of ``(a, b)``, and recovery on a friend
+    ``t`` asks no friendship check whose answer the survey holds: one an
+    earlier target asked, or one of an id in the answer of an earlier
+    pair ``(f, t)``, since every id in that answer is a friend of ``t``.
     """
     recovered = recover_friends(victim, oracle)
-    earlier = {victim: recovered}
+    # For each friend still to recover: id -> whether it is a friend of
+    # that friend, for every fact the survey holds about the pair.
+    held = {friend: {victim: True} for friend in recovered.friends}
     mutuals: dict[tuple[str, str], frozenset[str]] = {}
     for friend in sorted(recovered.friends):
-        found = earlier[friend] = recover_friends(friend, oracle, earlier)
+        found = recover_friends(friend, oracle, held.pop(friend))
+        for later in found.candidates & held.keys():
+            held[later][friend] = later in found.friends
         for second in sorted(found.friends - {victim}):
             mirror = mutuals.get((second, friend))
-            mutuals[(friend, second)] = (
+            common = mutuals[(friend, second)] = (
                 oracle.mutual_friends(friend, second) if mirror is None else mirror
             )
+            if second in held:
+                held[second].update(dict.fromkeys(common, True))
     return TwoHopSurvey(victim=victim, recovered=recovered, mutuals=mutuals)
 
 

@@ -211,9 +211,9 @@ def _logged(name):
     original = getattr(PublicView, name)
 
     def channel(self, *args):
-        # A pair question is the same question in either order.
-        self.calls.append((name, frozenset(args)))
-        return original(self, *args)
+        answer = original(self, *args)
+        self.calls.append((name, args, answer))
+        return answer
 
     return channel
 
@@ -231,7 +231,7 @@ def test_queries_equal_channel_calls_and_none_repeats(snapshot, monkeypatch):
     class LoggingView(PublicView):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            self.calls = []  # (channel, set of ids), one per channel call
+            self.calls = []  # (channel, ids, answer), one per channel call
             views.append(self)
 
     for name in CHANNELS:
@@ -242,7 +242,18 @@ def test_queries_equal_channel_calls_and_none_repeats(snapshot, monkeypatch):
     assert any(not doc["skipped"] for doc in report["victims"])
     for view, doc in zip(views, report["victims"], strict=True):
         assert doc["queries"] == len(view.calls)
-        assert len(set(view.calls)) == len(view.calls)
+        # A pair question is the same question in either order.
+        questions = [(name, frozenset(ids)) for name, ids, _ in view.calls]
+        assert len(set(questions)) == len(questions)
+        # Recovery asks are_friends(candidate, target). A mutual-friends
+        # answer for a pair with endpoint t names friends of t, so it
+        # settles the check of each id in it as a candidate of t.
+        settled = set()
+        for name, ids, answer in view.calls:
+            if name == "mutual_friends":
+                settled.update((common, end) for common in answer for end in ids)
+            elif name == "are_friends":
+                assert ids not in settled
 
 
 def test_run_experiment_requires_victims(worked_example):

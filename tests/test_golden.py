@@ -26,8 +26,8 @@ ATTRS = [
 
 GENERATE_SHA256 = "fee8f218c3037a2b77756f6cbda5a379b155575f1fc103f244fe4b0d6d2f1d2f"
 INGEST_SHA256 = "51fd63b8d19a801a5d8ddec0ae11be74e8792674334024765144aa1a3bc605af"
-RUN_TREE_SHA256 = "40d638c857a0917c1c7859b26d5159605592ef488cd6d6b52eaf63bb33e1cfb6"
-OPTION_TREE_SHA256 = "3f182b464635e55faeeff87593a69d2e7ca5876bd4dfe31d33bc33b86c21e1c6"
+RUN_TREE_SHA256 = "7a4008f945ec3d5e27be83bdedde867b2cefeda5d09a467df08f354f98ac4432"
+OPTION_TREE_SHA256 = "f396b1272536a77189c10b25feb80e2e2820069d823f2cad75bc54d8e94a0e79"
 CALIBRATE_SHA256 = "66cd1ae77bb729d582cc404edea849407b862ba9d662fcee73b08552b77db740"
 EXPORT_DOT_SHA256 = {
     "pruned": "74032a11d130f2e9e4c05cddff746ab0b2728a13c0473ee0eafed5f073021d57",
@@ -89,7 +89,7 @@ def test_run_artifact_tree_with_options(generated, tmp_path):
     out = tmp_path / "out"
     _run_every_user(generated, out, OPTION_ARGS)
     aggregate = json.loads((out / "aggregate.json").read_text())["aggregate"]
-    assert (aggregate["victims_evaluated"], aggregate["victims_skipped"]) == (28, 32)
+    assert (aggregate["victims_evaluated"], aggregate["victims_skipped"]) == (29, 31)
     reports = [json.loads(path.read_text()) for path in out.glob("*/report.json")]
     evaluated = [report for report in reports if not report["skipped"]]
     # Every evaluated victim scores a single-edge candidate that pruning

@@ -7,12 +7,14 @@ from osnrecon import (
     PublicView,
     Role,
     FriendshipGraph,
+    FriendsFound,
     build_graph,
     collect_2hop,
     generate_synthetic,
     graph_to_dot,
     load_snapshot,
     prune_single_edge,
+    recover_friends,
     shared_edge_count,
     two_hop_nodes,
 )
@@ -103,6 +105,43 @@ def test_mirror_pair_asked_once():
     # Pictures of v, a and b; the pairs {v, a}, {v, b} and {a, b} checked
     # once each; one mutual-friends call for {a, b}.
     assert view.query_count == 3 + 3 + 1
+
+
+def test_mutual_friends_answer_settles_a_later_check(monkeypatch):
+    # v's friends a and b are friends; c is a common friend of a and b
+    # and engages b's pictures. Surveying a asks mutual_friends(a, b),
+    # whose answer names c, so recovery on b need not check c.
+    snap = load_snapshot(
+        {
+            "users": [
+                {"id": "v", "friends": ["a", "b"]},
+                {"id": "a", "friends": ["v", "b", "c"]},
+                {"id": "b", "friends": ["v", "a", "c"]},
+                {"id": "c", "friends": ["a", "b"]},
+            ],
+            "pictures": [pic("v", ["a", "b"]), pic("a", ["v", "b"]), pic("b", ["v", "a", "c"])],
+        }
+    )
+    found = []
+
+    def recording(*args, **kwargs):
+        found.append(recover_friends(*args, **kwargs))
+        return found[-1]
+
+    monkeypatch.setattr("osnrecon.twohop.recover_friends", recording)
+    view = PublicView(snap)
+    survey = collect_2hop("v", view)
+    assert found == [
+        FriendsFound("v", frozenset({"a", "b"}), {"a", "b"}),
+        FriendsFound("a", frozenset({"v", "b"}), {"v", "b"}),
+        FriendsFound("b", frozenset({"v", "a", "c"}), {"v", "a", "c"}),
+    ]
+    assert survey.recovered == found[0]
+    assert survey.mutuals == {("a", "b"): {"v", "c"}, ("b", "a"): {"v", "c"}, ("b", "c"): {"a"}}
+    # Pictures of v, a and b; the pairs {v, a}, {v, b} and {a, b}
+    # checked once each, and {b, c} settled by mutual_friends(a, b);
+    # mutual-friends calls for {a, b} and {b, c}.
+    assert view.query_count == 3 + 3 + 2
 
 
 def test_mutuals_document_keeps_pairs_whose_joined_ids_collide():
