@@ -51,8 +51,10 @@ ATTRIBUTES = {
 class Picture:
     id: str
     public: bool
-    likers: frozenset[str] = frozenset()
-    commenters: frozenset[str] = frozenset()
+    # Distinct ids in sorted order, not frozensets: nothing probes them one
+    # by one, and 23 ids take 224 bytes as a tuple, 2.2 KB as a frozenset.
+    likers: tuple[str, ...] = ()
+    commenters: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -82,26 +84,33 @@ class OsnSnapshot:
         """Check a snapshot read from a document or built by hand: non-empty
         ids, symmetric friendships without self-pairs, known friends and
         engagers. The generator and ``ingest_edge_list`` build valid
-        snapshots by construction, so only ``load_snapshot`` calls it."""
-        for uid, user in self.users.items():
+        snapshots by construction, so only ``load_snapshot`` calls it.
+
+        Users and pictures are checked in order; within one, the error
+        names the least offending id, whatever the hash seed."""
+        users = self.users
+        for uid, user in users.items():
             if not uid:
                 raise IntegrityError("empty user id")
             if uid in user.friends:
                 raise IntegrityError(f"user {uid!r} lists itself as a friend")
-            for fid in user.friends:
-                other = self.users.get(fid)
-                if other is None:
+            strays = [
+                fid for fid in user.friends
+                if (other := users.get(fid)) is None or uid not in other.friends
+            ]
+            if strays:
+                fid = _least(strays)
+                if fid not in users:
                     raise IntegrityError(f"user {uid!r} references unknown friend {fid!r}")
-                if uid not in other.friends:
-                    raise IntegrityError(
-                        f"asymmetric friendship: {uid!r} lists {fid!r} but not vice versa"
-                    )
+                raise IntegrityError(
+                    f"asymmetric friendship: {uid!r} lists {fid!r} but not vice versa"
+                )
             for pic in user.pictures:
-                for engager in pic.likers | pic.commenters:
-                    if engager not in self.users:
-                        raise IntegrityError(
-                            f"picture {pic.id!r} engaged by unknown user {engager!r}"
-                        )
+                strays = [e for e in (*pic.likers, *pic.commenters) if e not in users]
+                if strays:
+                    raise IntegrityError(
+                        f"picture {pic.id!r} engaged by unknown user {_least(strays)!r}"
+                    )
 
     def friendship_edges(self) -> set[tuple[str, str]]:
         """All ground-truth edges as sorted pairs."""
@@ -130,8 +139,9 @@ class OsnSnapshot:
                 "id": pic.id,
                 "owner": uid,
                 "public": pic.public,
-                "likers": sorted(pic.likers),
-                "commenters": sorted(pic.commenters),
+                # Already sorted; a list keeps the document loadable.
+                "likers": list(pic.likers),
+                "commenters": list(pic.commenters),
             }
             for uid, user in self.users.items()
             for pic in user.pictures
@@ -141,6 +151,11 @@ class OsnSnapshot:
 
     def to_json(self) -> str:
         return json_text(self.to_document())
+
+
+def _least(ids):
+    # Strings in their own order, then ids of other JSON types by repr.
+    return min(ids, key=lambda i: (False, i) if type(i) is str else (True, repr(i)))
 
 
 def json_text(document) -> str:
@@ -239,14 +254,22 @@ def _require(doc: dict, key: str, kind: type, where: str):
     return value
 
 
-def _id_set(doc: dict, key: str, where: str) -> frozenset[str]:
-    # Only an unhashable entry fails here; a non-string scalar id is left to
-    # validate(), which rejects it as an unknown user without a per-id check.
+def _ids(doc: dict, key: str, where: str, build):
+    # Only an unhashable entry, or ids that ``build`` cannot sort, fail here;
+    # a non-string scalar id is left to validate(), which rejects it as an
+    # unknown user without a per-id check.
     values = _require(doc, key, list, where)
     try:
-        return frozenset(values)
+        return build(values)
     except TypeError:
         raise SchemaError(f"{where}: field {key!r} must be a list of strings") from None
+
+
+def _sorted_distinct(values: list) -> tuple:
+    distinct = set(values)
+    # Without repeats the list itself is sorted: in linear time when it is
+    # already in order, as snapshot files write it, which a set never is.
+    return tuple(sorted(values if len(distinct) == len(values) else distinct))
 
 
 def _flag(doc: dict, key: str, default: bool, where: str) -> bool:
@@ -288,8 +311,8 @@ def load_snapshot(document: dict) -> OsnSnapshot:
         owned.setdefault(owner, []).append(Picture(
             id=pid,
             public=_require(pdoc, "public", bool, where),
-            likers=_id_set(pdoc, "likers", where),
-            commenters=_id_set(pdoc, "commenters", where),
+            likers=_ids(pdoc, "likers", where, _sorted_distinct),
+            commenters=_ids(pdoc, "commenters", where, _sorted_distinct),
         ))
 
     users: dict[str, UserProfile] = {}
@@ -304,7 +327,7 @@ def load_snapshot(document: dict) -> OsnSnapshot:
         if not isinstance(privacy_doc, dict):
             raise SchemaError(f"{where}: field 'privacy' must be an object")
         users[uid] = UserProfile(
-            friends=_id_set(udoc, "friends", where),
+            friends=_ids(udoc, "friends", where, frozenset),
             pictures=tuple(sorted(owned.pop(uid, ()), key=attrgetter("id"))),
             attributes={
                 key: label
@@ -513,24 +536,24 @@ def _synthesize_activity(
         for k in range(config.pictures_per_user):
             pid = f"{uid}_p{k}"
             public = rng.random() < config.p_picture_public
-            likers = set()
-            commenters = set()
+            likers = []
+            commenters = []
             if public:
                 for other in ordered_friends:
                     if rng.random() < config.p_friend:
-                        likers.add(other)
+                        likers.append(other)
                     if rng.random() < config.p_friend:
-                        commenters.add(other)
+                        commenters.append(other)
                 # A hit on the owner or a friend is dropped, which leaves
                 # every other user's probability exactly p_stranger.
                 for engaged in (likers, commenters):
-                    hits = set(_bernoulli_subset(ids, config.p_stranger, rng))
-                    hits -= friends
-                    hits.discard(uid)
-                    engaged |= hits
+                    engaged += [
+                        hit for hit in _bernoulli_subset(ids, config.p_stranger, rng)
+                        if hit not in friends and hit != uid
+                    ]
             pictures.append(Picture(
                 id=pid, public=public,
-                likers=frozenset(likers), commenters=frozenset(commenters),
+                likers=tuple(sorted(likers)), commenters=tuple(sorted(commenters)),
             ))
         pictures.sort(key=attrgetter("id"))  # as text: "_p10" before "_p2"
         users[uid] = UserProfile(

@@ -351,6 +351,22 @@ def test_malformed_input_files_exit_2(tmp_path, capsys, command, flag, content):
     assert not out.exists()
 
 
+def test_engagement_ids_that_do_not_compare_exit_2(tmp_path, capsys):
+    snapshot = tmp_path / "mixed.json"
+    snapshot.write_text(json.dumps({
+        "users": [{"id": "a", "friends": []}],
+        "pictures": [{"id": "p", "owner": "a", "public": True, "likers": ["a", 5],
+                      "commenters": []}],
+    }))
+    out = tmp_path / "out"
+    argv = ["run", "--snapshot", str(snapshot), "--victim", "a", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error (run): picture 'p': field 'likers' must be a list of strings\n"
+    )
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def cycle_inputs(tmp_path_factory):
     """The cycle test's input files: a generated snapshot, the worked

@@ -38,6 +38,14 @@ def minimal_document():
     }
 
 
+def assert_engagement_strictly_increasing(snap):
+    for user in snap.users.values():
+        for pic in user.pictures:
+            for engaged in (pic.likers, pic.commenters):
+                assert type(engaged) is tuple
+                assert all(a < b for a, b in zip(engaged, engaged[1:]))
+
+
 class TestLoadSnapshot:
     def test_minimal_two_user_snapshot(self):
         snap = load_snapshot(minimal_document())
@@ -79,6 +87,46 @@ class TestLoadSnapshot:
         ]
         with pytest.raises(IntegrityError, match="ghost"):
             load_snapshot(doc)
+
+    @pytest.mark.parametrize(
+        "friends, likers, commenters, message",
+        [
+            (["g5", "g3", "g7", "g1", "g6", "g4", "g2"], [], [],
+             "user 'a' references unknown friend 'g1'"),
+            (["s4", "s2", "s5", "s1", "s3"], [], [],
+             "asymmetric friendship: 'a' lists 's1' but not vice versa"),
+            (["g3", "s4", "g2", "s2", "s1", "g4"], [], [],
+             "user 'a' references unknown friend 'g2'"),
+            (["s3", "x5", "s2", "x4", "s1"], [], [],
+             "asymmetric friendship: 'a' lists 's1' but not vice versa"),
+            ([], ["g6", "g3", "g7", "g4"], ["g5", "g2", "g8"],
+             "picture 'p' engaged by unknown user 'g2'"),
+        ],
+        ids=["unknown", "asymmetric", "unknown-first", "asymmetric-first", "engagers"],
+    )
+    def test_error_names_least_offending_id(self, friends, likers, commenters, message):
+        # The s* users exist but list no friends, so each is asymmetric.
+        doc = {
+            "users": [{"id": "a", "friends": friends}]
+            + [{"id": f"s{k}", "friends": []} for k in range(1, 6)],
+            "pictures": [{"id": "p", "owner": "a", "public": True,
+                          "likers": likers, "commenters": commenters}],
+        }
+        with pytest.raises(IntegrityError) as exc:
+            load_snapshot(doc)
+        assert str(exc.value) == message
+
+    def test_engagement_is_sorted_distinct_ids(self):
+        doc = minimal_document()
+        doc["users"].append({"id": "c", "friends": []})
+        doc["pictures"] = [
+            {"id": "p", "owner": "a", "public": True, "likers": ["c", "b", "b"],
+             "commenters": []}
+        ]
+        snap = load_snapshot(doc)
+        assert snap.users["a"].pictures[0].likers == ("b", "c")
+        assert snap.users["a"].pictures[0].commenters == ()
+        assert json.loads(snap.to_json())["pictures"][0]["likers"] == ["b", "c"]
 
     def test_missing_field_is_schema_error(self):
         with pytest.raises(SchemaError, match="friends"):
@@ -168,8 +216,8 @@ class TestGenerator:
                         assert owner not in engaged
                         friend_trials += len(friends)
                         stranger_trials += len(snap.users) - 1 - len(friends)
-                        friend_hits += len(engaged & friends)
-                        stranger_hits += len(engaged - friends)
+                        friend_hits += len(friends.intersection(engaged))
+                        stranger_hits += len(set(engaged) - friends)
                 for hits, trials, p in (
                     (friend_hits, friend_trials, 0.6),
                     (stranger_hits, stranger_trials, p_stranger),
@@ -191,7 +239,7 @@ class TestGenerator:
             for pic in user.pictures:
                 for engaged in (pic.likers, pic.commenters):
                     assert owner not in engaged
-                    assert engaged - friends == (strangers if p_stranger else set())
+                    assert set(engaged) - friends == (strangers if p_stranger else set())
 
     @pytest.mark.parametrize("p_stranger", [5e-324, 1e-300])
     def test_tiny_stranger_probability_generates(self, p_stranger):
@@ -243,12 +291,17 @@ class TestGenerator:
             generate_synthetic(GeneratorConfig(n_users=1), seed=0)
 
     @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 10**6), n=st.integers(2, 25))
-    def test_generated_snapshots_validate(self, seed, n):
-        snap = generate_synthetic(GeneratorConfig(n_users=n, mean_degree=3.0), seed)
+    @given(
+        seed=st.integers(0, 10**6), n=st.integers(2, 25),
+        p_stranger=st.sampled_from([0.01, 0.3, 1.0]),
+    )
+    def test_generated_snapshots_validate(self, seed, n, p_stranger):
+        config = GeneratorConfig(n_users=n, mean_degree=3.0, p_stranger=p_stranger)
+        snap = generate_synthetic(config, seed)
         snap.validate()
         for uid, user in snap.users.items():
             assert uid not in user.friends
+        assert_engagement_strictly_increasing(snap)
 
 
 class TestIngest:
@@ -330,6 +383,7 @@ class TestIngest:
         config = GeneratorConfig(p_stranger=0.3)
         snap = ingest_edge_list(lines, config, seed, attribute_rows=attribute_rows)
         snap.validate()
+        assert_engagement_strictly_increasing(snap)
         assert snap.friendship_edges() == {(min(p), max(p)) for p in pairs}
         if rows is not None:
             assert {

@@ -64,7 +64,7 @@ def test_public_pictures_only():
     view = PublicView(two_user_snapshot())
     pictures = view.public_pictures_of("a")
     assert [p.id for p in pictures] == ["p1"]
-    assert pictures[0].likers == frozenset({"b"})
+    assert pictures[0].likers == ("b",)
 
 
 def test_pictures_listed_out_of_id_order_come_back_in_id_order():
