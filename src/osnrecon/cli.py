@@ -59,7 +59,8 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 def _cell(value):
     """A CSV cell: a Fraction to six decimals, anything else as it is."""
-    return f"{float(value):.6f}" if type(value) is Fraction else value
+    # n / d is the division float(value) does, without its two property lookups.
+    return f"{value.numerator / value.denominator:.6f}" if type(value) is Fraction else value
 
 
 def _read_json(path):
@@ -168,8 +169,9 @@ def cmd_run(args) -> int:
 
     def render(result, victim_doc: dict) -> Rendered:
         victim_files = _victim_files(result, victim_doc)
+        victim_dir = out_dir / result.victim
         for name, text in victim_files.items():
-            files[out_dir / result.victim / name] = text
+            files[victim_dir / name] = text
         # aggregate.json lists the victim's report.json text, not a second rendering
         return Rendered(victim_files["report.json"])
 

@@ -6,6 +6,8 @@ is stable and diffable.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .twohop import FriendshipGraph, Role
 
 ROLE_COLORS = {
@@ -32,6 +34,9 @@ def graph_to_dot(graph: FriendshipGraph) -> str:
         lines.append(f"  {quoted[node]} [fillcolor={ROLE_COLORS[graph.roles[node]]}];")
     # Each edge once, as a < b, in sorted (a, b) order.
     for a in nodes:
-        lines.extend(f"  {quoted[a]} -- {quoted[b]};" for b in sorted(graph.adj[a]) if a < b)
+        near = sorted(graph.adj[a])
+        if later := near[bisect_right(near, a):]:
+            head = f"  {quoted[a]} -- "
+            lines.append(head + (";\n" + head).join(map(quoted.__getitem__, later)) + ";")
     lines.append("}")
     return "\n".join(lines) + "\n"

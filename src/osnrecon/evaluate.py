@@ -25,11 +25,11 @@ from .oracle import PublicView, QueryBudgetExceeded
 from .scoring import FRIEND, CandidateScore, Thresholds, classify, score_candidates
 from .twohop import (
     FriendshipGraph,
+    Role,
     TwoHopSurvey,
     build_graph,
     collect_2hop,
     prune_single_edge,
-    two_hop_nodes,
 )
 
 
@@ -195,6 +195,8 @@ def _victim_doc(result: VictimResult) -> dict:
         doc["skip_reason"] = result.skip_reason
         return doc
     assert result.graph is not None and result.rates is not None
+    roles = list(result.graph.roles.values())
+    two_hop = roles.count(Role.TWO_HOP_RELEVANT) + roles.count(Role.TWO_HOP_SINGLE_EDGE)
     doc.update(
         {
             "recovered_friends": sorted(result.survey.recovered.friends),
@@ -202,7 +204,7 @@ def _victim_doc(result: VictimResult) -> dict:
             "graph": {
                 "nodes": len(result.graph.roles),
                 "edges": sum(map(len, result.graph.adj.values())) // 2,
-                "two_hop": len(two_hop_nodes(result.graph)),
+                "two_hop": two_hop,
                 "pruned_out": result.pruned_candidates,
             },
             "rates": result.rates,

@@ -17,6 +17,8 @@ import math
 import random
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import repeat
 from operator import attrgetter, itemgetter
 
 
@@ -87,7 +89,8 @@ class OsnSnapshot:
         snapshots by construction, so only ``load_snapshot`` calls it.
 
         Users and pictures are checked in order; within one, the error
-        names the least offending id, whatever the hash seed."""
+        names the least offending id, whatever the hash seed. A non-string
+        id, never a user and so always a stray, is a ``SchemaError``."""
         users = self.users
         for uid, user in users.items():
             if not uid:
@@ -99,7 +102,8 @@ class OsnSnapshot:
                 if (other := users.get(fid)) is None or uid not in other.friends
             ]
             if strays:
-                fid = _least(strays)
+                _strings(strays, f"user {uid!r}", "friends")
+                fid = min(strays)
                 if fid not in users:
                     raise IntegrityError(f"user {uid!r} references unknown friend {fid!r}")
                 raise IntegrityError(
@@ -108,8 +112,10 @@ class OsnSnapshot:
             for pic in user.pictures:
                 strays = [e for e in (*pic.likers, *pic.commenters) if e not in users]
                 if strays:
+                    _strings(pic.likers, f"picture {pic.id!r}", "likers")
+                    _strings(pic.commenters, f"picture {pic.id!r}", "commenters")
                     raise IntegrityError(
-                        f"picture {pic.id!r} engaged by unknown user {_least(strays)!r}"
+                        f"picture {pic.id!r} engaged by unknown user {min(strays)!r}"
                     )
 
     def friendship_edges(self) -> set[tuple[str, str]]:
@@ -153,9 +159,9 @@ class OsnSnapshot:
         return json_text(self.to_document())
 
 
-def _least(ids):
-    # Strings in their own order, then ids of other JSON types by repr.
-    return min(ids, key=lambda i: (False, i) if type(i) is str else (True, repr(i)))
+def _strings(ids, where: str, key: str) -> None:
+    if not all(isinstance(i, str) for i in ids):
+        raise SchemaError(f"{where}: field {key!r} must be a list of strings")
 
 
 def json_text(document) -> str:
@@ -165,12 +171,13 @@ def json_text(document) -> str:
     A ``Fraction`` is written as ``{"exact": "n/d", "value": float}``, a
     dataclass as the object of its fields, and a :class:`Rendered` value
     as the text it holds. ``json.dumps`` falls back to its pure-Python
-    encoder whenever ``indent`` is set; this uses the C string encoder.
-    Other scalars and dicts with a non-string key go through
+    encoder whenever ``indent`` is set; this uses the C string encoder and
+    writes each leaf where it sits. Other scalars (``str`` and ``int``
+    subclasses too) and dicts with a non-string key go through
     ``json.dumps``, so a type it cannot write raises ``TypeError``.
     """
     out: list[str] = []
-    _render(document, "\n", out)
+    _items(("",), (document,), "\n", out)
     out.append("\n")
     return "".join(out)
 
@@ -190,59 +197,82 @@ class Rendered:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _render(value, newline: str, out: list[str]) -> None:
-    kind = type(value)
-    if kind is str:
-        out.append(_encode_str(value))
-    elif kind is bool:
-        out.append("true" if value else "false")
-    elif kind is int or kind is float and math.isfinite(value):
-        out.append(repr(value))  # what json.dumps writes for these
-    elif value is None:
-        out.append("null")
-    elif isinstance(value, (dict, list, tuple)):
-        is_dict = isinstance(value, dict)
-        if not value:
-            out.append("{}" if is_dict else "[]")
-            return
-        inner = newline + "  "
-        separator = "," + inner
-        # encode_basestring_ascii raises TypeError on anything but a string.
-        if is_dict:
-            keys = sorted(value)
+def _items(prefixes, values, newline: str, out: list[str]) -> None:
+    """Write each value after its prefix, each at the indentation of
+    ``newline``: leaves of the exact types JSON decodes to, ``Fraction``s
+    and lists of strings in place, anything else through ``_render``."""
+    for prefix, value in zip(prefixes, values):
+        kind = type(value)
+        if kind is str:
+            out.append(prefix + _encode_str(value))
+        elif kind is list and value and type(value[0]) is str:
+            inner = newline + "  "
             try:
-                heads = [_encode_str(key) + ": " for key in keys]
-            except TypeError:
-                out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
-                return
-            opening = "{" + inner
-            for key, head in zip(keys, heads):
-                out.append(opening + head)
-                _render(value[key], inner, out)
-                opening = separator
-            out.append(newline + "}")
-            return
+                text = ("," + inner).join(map(_encode_str, value))
+            except TypeError:  # encode_basestring_ascii takes only strings
+                out.append(prefix)
+                _render(value, newline, out)
+            else:
+                out.append(prefix + "[" + inner + text + newline + "]")
+        elif kind is int or kind is float and math.isfinite(value):
+            out.append(prefix + repr(value))  # what json.dumps writes for these
+        elif kind is Fraction:
+            n, d = value.numerator, value.denominator  # n / d rounds as float(value) does
+            out.append(f'{prefix}{{{newline}  "exact": "{n}/{d}",{newline}  "value": {n / d!r}'
+                       f'{newline}}}')
+        elif kind is bool:
+            out.append(prefix + ("true" if value else "false"))
+        elif value is None:
+            out.append(prefix + "null")
+        elif kind is list and not value:
+            out.append(prefix + "[]")
+        else:
+            out.append(prefix)
+            _render(value, newline, out)
+
+
+@cache
+def _field_heads(kind: type) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
+    """A dataclass's sorted field names and their encoded keys, else None."""
+    if not is_dataclass(kind):
+        return None
+    names = tuple(sorted(f.name for f in fields(kind)))
+    return names, tuple(_encode_str(name) + ": " for name in names)
+
+
+def _render(value, newline: str, out: list[str]) -> None:
+    """Write a value that ``_items`` does not write in place."""
+    separator = "," + newline + "  "
+    if isinstance(value, dict):
+        keys = sorted(value)
         try:
-            out.append("[" + inner + separator.join(map(_encode_str, value)) + newline + "]")
-            return
+            prefixes = [separator + _encode_str(key) + ": " for key in keys]
         except TypeError:
-            pass
-        opening = "[" + inner
-        for item in value:
-            out.append(opening)
-            _render(item, inner, out)
-            opening = separator
-        out.append(newline + "]")
-    elif kind is Rendered:
+            out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
+            return
+        values = map(value.__getitem__, keys)
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        prefixes = [separator] * len(value)
+        values = value
+        brackets = "[]"
+    elif (layout := _field_heads(type(value))) is not None:
+        names, heads = layout
+        prefixes = [separator + head for head in heads]
+        values = map(getattr, repeat(value), names)
+        brackets = "{}"
+    elif type(value) is Rendered:
         out.append(value.text[:-1].replace("\n", newline))
-    elif kind is Fraction:
-        n, d = value.numerator, value.denominator
-        # int / int rounds correctly, as float(value) does, in one call less.
-        _render({"exact": f"{n}/{d}", "value": n / d}, newline, out)
-    elif is_dataclass(kind):
-        _render({f.name: getattr(value, f.name) for f in fields(kind)}, newline, out)
+        return
     else:
         out.append(json.dumps(value))
+        return
+    if not prefixes:
+        out.append(brackets)
+        return
+    prefixes[0] = brackets[0] + prefixes[0][1:]
+    _items(prefixes, values, newline + "  ", out)
+    out.append(newline + brackets[1])
 
 
 def _require(doc: dict, key: str, kind: type, where: str):
@@ -256,8 +286,8 @@ def _require(doc: dict, key: str, kind: type, where: str):
 
 def _ids(doc: dict, key: str, where: str, build):
     # Only an unhashable entry, or ids that ``build`` cannot sort, fail here;
-    # a non-string scalar id is left to validate(), which rejects it as an
-    # unknown user without a per-id check.
+    # a non-string scalar id is left to validate(), which gives it the same
+    # error without a per-id check here.
     values = _require(doc, key, list, where)
     try:
         return build(values)

@@ -2,11 +2,14 @@ import argparse
 import gc
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from osnrecon.cli import build_parser, main
+from osnrecon.cli import _cell, build_parser, main
 
 from helpers import worked_example_snapshot
 
@@ -351,20 +354,37 @@ def test_malformed_input_files_exit_2(tmp_path, capsys, command, flag, content):
     assert not out.exists()
 
 
-def test_engagement_ids_that_do_not_compare_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "friends, likers, message",
+    [
+        ([], ["a", 5], "picture 'p': field 'likers'"),
+        ([], [5], "picture 'p': field 'likers'"),
+        (["b", 5], [], "user 'a': field 'friends'"),
+    ],
+)
+def test_non_string_ids_exit_2(tmp_path, capsys, friends, likers, message):
     snapshot = tmp_path / "mixed.json"
     snapshot.write_text(json.dumps({
-        "users": [{"id": "a", "friends": []}],
-        "pictures": [{"id": "p", "owner": "a", "public": True, "likers": ["a", 5],
+        "users": [{"id": "a", "friends": friends}, {"id": "b", "friends": ["a"]}],
+        "pictures": [{"id": "p", "owner": "a", "public": True, "likers": likers,
                       "commenters": []}],
     }))
     out = tmp_path / "out"
     argv = ["run", "--snapshot", str(snapshot), "--victim", "a", "--out", str(out)]
     assert main(argv) == 2
-    assert capsys.readouterr().err == (
-        "error (run): picture 'p': field 'likers' must be a list of strings\n"
-    )
+    assert capsys.readouterr().err == f"error (run): {message} must be a list of strings\n"
     assert not out.exists()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.fractions(-(10**30), 10**30)
+    | st.sampled_from([Fraction(10**20, 3), Fraction(-7, 3)]),
+    st.none() | st.integers() | st.floats() | st.text(),
+)
+def test_cell_writes_a_fraction_as_its_float(fraction, other):
+    assert _cell(fraction) == f"{float(fraction):.6f}"
+    assert _cell(other) is other
 
 
 @pytest.fixture(scope="module")

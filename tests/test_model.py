@@ -11,11 +11,14 @@ from osnrecon import (
     NOT_FRIEND,
     CandidateScore,
     ConfusionMatrix,
+    ExperimentConfig,
     GeneratorConfig,
     IntegrityError,
     Metrics,
+    Role,
     SchemaError,
     SnapshotError,
+    Thresholds,
     generate_synthetic,
     ingest_edge_list,
     load_snapshot,
@@ -115,6 +118,25 @@ class TestLoadSnapshot:
         with pytest.raises(IntegrityError) as exc:
             load_snapshot(doc)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "key, ids",
+        [("likers", [5]), ("likers", ["a", 5]), ("friends", ["b", 5]),
+         ("commenters", [True]), ("commenters", [5, 6.5])],
+    )
+    def test_non_string_id_is_a_schema_error(self, key, ids):
+        doc = minimal_document()
+        picture = {"id": "p", "owner": "a", "public": True, "likers": [], "commenters": []}
+        doc["pictures"] = [picture]
+        if key == "friends":
+            doc["users"][0]["friends"] = ids
+            where = "user 'a'"
+        else:
+            picture[key] = ids
+            where = "picture 'p'"
+        with pytest.raises(SchemaError) as exc:
+            load_snapshot(doc)
+        assert str(exc.value) == f"{where}: field {key!r} must be a list of strings"
 
     def test_engagement_is_sorted_distinct_ids(self):
         doc = minimal_document()
@@ -484,11 +506,19 @@ report_leaves = (
     )
     | st.builds(ConfusionMatrix, *[st.integers(0, 500)] * 4)
     | st.builds(Metrics, optional_fractions, optional_fractions, optional_fractions)
+    | st.builds(Thresholds, *[st.fractions(0, 1, max_denominator=10**6)] * 2)
+    | st.builds(ExperimentConfig, st.booleans(), st.booleans(), st.none() | st.integers(0, 10**6))
+    # A str subclass, which json_text leaves to json.dumps.
+    | st.sampled_from(list(Role))
+    # A ranking: (label, rate) pairs.
+    | st.lists(st.tuples(st.text(max_size=4), fractions), max_size=4).map(tuple)
 )
 report_trees = st.recursive(
     report_leaves,
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
+    # Starts with a string, so json_text tries to join it as a list of strings.
+    | st.builds(lambda head, rest: [head, *rest], st.text(max_size=4), st.lists(inner, max_size=3))
     | st.dictionaries(st.text(max_size=4), inner, max_size=4)
     | inner.map(lambda value: Rendered(json_text(value))),
     max_leaves=25,
