@@ -51,8 +51,11 @@ def _bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run: its JSON summary line, or why there is none."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          text=True, timeout=RUN_TIMEOUT_S)
+    try:
+        proc = subprocess.run(argv, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True, timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return {"correct": False, "error": f"no result within {RUN_TIMEOUT_S} s"}
     lines = proc.stdout.strip().splitlines()
     try:
         summary = json.loads(lines[-1])
