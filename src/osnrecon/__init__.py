@@ -42,7 +42,6 @@ from .scoring import (
     Thresholds,
     calibrate,
     classify,
-    info_score,
     score_candidates,
 )
 from .evaluate import (

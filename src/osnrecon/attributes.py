@@ -6,12 +6,14 @@ holding only the features the user filled in. For each feature
 recovered friends carrying it divided by the total number of recovered
 friends. Friends with private or absent attributes contribute nothing to
 the numerator but stay in the denominator, so the per-feature rate mass
-is at most 1. Rates use exact rational arithmetic.
+is at most 1. Labels are counted as integers, and each rate is reported
+as one exact ``Fraction(count, friends)``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable
 
 from .oracle import FEATURES, PublicView
@@ -42,21 +44,26 @@ def extract_rates(records: dict[str, dict[str, str]]) -> Rates:
     """Build per-feature rate tables from the recovered friends' records."""
     if not records:
         raise InferenceError("no recovered friends; inference impossible")
-    rates: Rates = {f: {} for f in FEATURES}
-    unit = Fraction(1, len(records))
+    counts: dict[str, dict[str, int]] = {f: {} for f in FEATURES}
     for attrs in records.values():
         for feature, value in attrs.items():
-            table = rates[feature]
-            table[value] = table.get(value, Fraction(0)) + unit
-    return rates
+            table = counts[feature]
+            table[value] = table.get(value, 0) + 1
+    n = len(records)
+    return {
+        feature: {value: Fraction(count, n) for value, count in table.items()}
+        for feature, table in counts.items()
+    }
 
 
 def rank_guesses(rates: Rates) -> dict[str, Ranking]:
     """Sort each feature's values by descending rate, labels break ties."""
-    return {
-        feature: tuple(sorted(rates[feature].items(), key=lambda kv: (-kv[1], kv[0])))
-        for feature in FEATURES
-    }
+    rankings = {}
+    for feature in FEATURES:
+        ranked = sorted(rates[feature].items())  # by label: labels are distinct
+        ranked.sort(key=itemgetter(1), reverse=True)  # stable: ties keep label order
+        rankings[feature] = tuple(ranked)
+    return rankings
 
 
 def _accuracy(

@@ -96,6 +96,7 @@ class OsnSnapshot:
             if not uid:
                 raise IntegrityError("empty user id")
             if uid in user.friends:
+                _strings(user.friends, f"user {uid!r}", "friends")
                 raise IntegrityError(f"user {uid!r} lists itself as a friend")
             strays = [
                 fid for fid in user.friends

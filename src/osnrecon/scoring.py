@@ -4,14 +4,17 @@ A candidate's information score is the sum of its matching rates across
 the features in ``oracle.FEATURES`` divided by their number; values
 absent from the rate tables (or hidden by privacy) contribute zero. The
 edge score is the candidate's shared-friend count normalized by the
-pool maximum. The FRIEND / NOT FRIEND verdict requires both scores to
-meet calibrated thresholds.
+pool maximum. Scores are computed on integer counts, with every rate
+written over one common denominator per victim, and each reported
+score is one exact ``Fraction``. The FRIEND / NOT FRIEND verdict
+requires both scores to meet calibrated thresholds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .attributes import Rates
 from .oracle import FEATURES, PublicView
@@ -46,12 +49,6 @@ class CandidateScore:
     verdict: str | None = None
 
 
-def info_score(attrs: dict[str, str] | None, rates: Rates) -> Fraction:
-    """Average matching rate of the candidate's visible attributes."""
-    total = sum((rates[f].get(v, 0) for f, v in (attrs or {}).items()), Fraction(0))
-    return total / len(FEATURES)
-
-
 def score_candidates(
     graph: FriendshipGraph, rates: Rates, oracle: PublicView
 ) -> list[CandidateScore]:
@@ -60,22 +57,30 @@ def score_candidates(
     ``build_graph`` gives each recovered friend the ONE_HOP role, so no
     2-hop node is a recovered friend. Edge scores are normalized by the
     pool's maximum shared-edge count; a pool whose maximum is zero
-    scores zero edges everywhere.
+    scores zero edges everywhere. Rates are summed as numerators over
+    their least common denominator ``d``.
     """
     pool = two_hop_nodes(graph)
     counts = {node: shared_edge_count(graph, node) for node in pool}
-    highest = max(counts.values(), default=0)
+    highest = max(counts.values(), default=0) or 1  # a zero maximum: every count is 0
+    d = lcm(*(rate.denominator for table in rates.values() for rate in table.values()))
+    numerators = {
+        feature: {label: rate.numerator * (d // rate.denominator) for label, rate in table.items()}
+        for feature, table in rates.items()
+    }
+    info_d = len(FEATURES) * d
     scores = []
     for node in pool:
-        info = info_score(oracle.public_attributes_of(node), rates)
-        edge = Fraction(counts[node], highest) if highest else Fraction(0)
+        attrs = oracle.public_attributes_of(node) or {}
+        total = sum(numerators[f].get(v, 0) for f, v in attrs.items())
+        shared = counts[node]
         scores.append(
             CandidateScore(
                 candidate=node,
-                info_score=info,
-                shared_edges=counts[node],
-                edge_score=edge,
-                combined=(info + edge) / 2,
+                info_score=Fraction(total, info_d),
+                shared_edges=shared,
+                edge_score=Fraction(shared, highest),
+                combined=Fraction(total * highest + info_d * shared, 2 * info_d * highest),
             )
         )
     return scores
@@ -83,17 +88,13 @@ def score_candidates(
 
 def classify(scores: list[CandidateScore], thresholds: Thresholds) -> list[CandidateScore]:
     """Attach a verdict: FRIEND iff both scores meet their thresholds."""
+    best_info, best_edges = thresholds.best_info, thresholds.best_edges
     return [
-        replace(
-            score,
-            verdict=(
-                FRIEND
-                if score.info_score >= thresholds.best_info
-                and score.edge_score >= thresholds.best_edges
-                else NOT_FRIEND
-            ),
+        CandidateScore(
+            s.candidate, s.info_score, s.shared_edges, s.edge_score, s.combined,
+            FRIEND if s.info_score >= best_info and s.edge_score >= best_edges else NOT_FRIEND,
         )
-        for score in scores
+        for s in scores
     ]
 
 

@@ -105,23 +105,25 @@ def build_graph(survey: TwoHopSurvey) -> FriendshipGraph:
     adj: dict[str, set[str]] = {victim: set(one_hop)}
     for friend in one_hop:
         adj[friend] = {victim}
+    relevant, common_friend = Role.TWO_HOP_RELEVANT, Role.COMMON_FRIEND
     for (friend, second), commons in survey.mutuals.items():
         if second not in roles:
-            roles[second] = Role.TWO_HOP_RELEVANT
-            adj[second] = set()
+            roles[second] = relevant
+            adj[second] = set(commons)
+        else:
+            adj[second] |= commons
         # difference(roles) probes the common ids, not every key of roles
         if new := commons.difference(roles):
-            roles.update(dict.fromkeys(new, Role.COMMON_FRIEND))
+            roles.update(dict.fromkeys(new, common_friend))
             adj.update({common: set() for common in new})
         adj[friend] |= commons
         adj[friend].add(second)
-        adj[second] |= commons
     for a, near in adj.items():  # add the missing side of each edge
         for b in near:
             adj[b].add(a)
     graph = FriendshipGraph(victim=victim, roles=roles, adj=adj, one_hop=one_hop)
     for node, role in roles.items():
-        if role == Role.TWO_HOP_RELEVANT and shared_edge_count(graph, node) == 1:
+        if role is relevant and shared_edge_count(graph, node) == 1:
             roles[node] = Role.TWO_HOP_SINGLE_EDGE
     return graph
 

@@ -8,7 +8,16 @@ from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 
-from osnrecon import OsnSnapshot, Role, TwoHopSurvey, load_snapshot
+from osnrecon import (
+    FEATURES,
+    FRIEND,
+    NOT_FRIEND,
+    CandidateScore,
+    OsnSnapshot,
+    Role,
+    TwoHopSurvey,
+    load_snapshot,
+)
 from osnrecon.dotexport import ROLE_COLORS
 from osnrecon.model import Rendered
 
@@ -208,6 +217,46 @@ def reference(value):
     if isinstance(value, (list, tuple)):
         return [reference(item) for item in value]
     return value
+
+
+def brute_rates(records: dict[str, dict[str, str]]) -> dict[str, dict[str, Fraction]]:
+    """Independent rate tables: each recovered friend adds ``1/n`` to the
+    rate of every label it shows, one ``Fraction`` sum at a time."""
+    rates: dict[str, dict[str, Fraction]] = {f: {} for f in FEATURES}
+    unit = Fraction(1, len(records))
+    for attrs in records.values():
+        for feature, value in attrs.items():
+            rates[feature][value] = rates[feature].get(value, Fraction(0)) + unit
+    return rates
+
+
+def brute_rankings(rates: dict[str, dict[str, Fraction]]) -> dict[str, tuple]:
+    """Independent rankings: each feature's (label, rate) pairs sorted by
+    negated rate, then label."""
+    return {
+        feature: tuple(sorted(rates[feature].items(), key=lambda kv: (-kv[1], kv[0])))
+        for feature in FEATURES
+    }
+
+
+def brute_scores(pool, rates, thresholds=None) -> list[CandidateScore]:
+    """Independent candidate scores in ``Fraction`` arithmetic. ``pool``
+    maps each candidate, in scoring order, to its visible attributes (None
+    when private) and its shared-edge count. With ``thresholds`` each
+    score carries the two-threshold verdict, otherwise none."""
+    highest = max((shared for _, shared in pool.values()), default=0)
+    scores = []
+    for candidate, (attrs, shared) in pool.items():
+        info = sum(
+            (rates[f].get(v, 0) for f, v in (attrs or {}).items()), Fraction(0)
+        ) / len(FEATURES)
+        edge = Fraction(shared, highest) if highest else Fraction(0)
+        verdict = None
+        if thresholds is not None:
+            meets = info >= thresholds.best_info and edge >= thresholds.best_edges
+            verdict = FRIEND if meets else NOT_FRIEND
+        scores.append(CandidateScore(candidate, info, shared, edge, (info + edge) / 2, verdict))
+    return scores
 
 
 def engaged_users(snapshot: OsnSnapshot, owner: str) -> set[str]:

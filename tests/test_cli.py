@@ -360,6 +360,7 @@ def test_malformed_input_files_exit_2(tmp_path, capsys, command, flag, content):
         ([], ["a", 5], "picture 'p': field 'likers'"),
         ([], [5], "picture 'p': field 'likers'"),
         (["b", 5], [], "user 'a': field 'friends'"),
+        (["a", 5], [], "user 'a': field 'friends'"),
     ],
 )
 def test_non_string_ids_exit_2(tmp_path, capsys, friends, likers, message):

@@ -122,7 +122,7 @@ class TestLoadSnapshot:
     @pytest.mark.parametrize(
         "key, ids",
         [("likers", [5]), ("likers", ["a", 5]), ("friends", ["b", 5]),
-         ("commenters", [True]), ("commenters", [5, 6.5])],
+         ("friends", ["a", 5]), ("commenters", [True]), ("commenters", [5, 6.5])],
     )
     def test_non_string_id_is_a_schema_error(self, key, ids):
         doc = minimal_document()

@@ -1,14 +1,21 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from osnrecon import (
+    FEATURES,
     FRIEND,
     NOT_FRIEND,
     CalibrationError,
     CandidateScore,
+    FriendshipGraph,
     PublicView,
+    Role,
     Thresholds,
     build_graph,
     calibrate,
@@ -16,13 +23,19 @@ from osnrecon import (
     collect_2hop,
     collect_friend_records,
     extract_rates,
-    info_score,
     prune_single_edge,
+    rank_guesses,
     recover_friends,
     score_candidates,
 )
 
-from helpers import VICTIM, rates_from_percentages
+from helpers import (
+    VICTIM,
+    brute_rankings,
+    brute_rates,
+    brute_scores,
+    rates_from_percentages,
+)
 
 
 def table_rates():
@@ -33,26 +46,115 @@ def table_rates():
     )
 
 
+def pool_graph(shared_counts: list[int]) -> FriendshipGraph:
+    """A victim ``v`` with friends ``f0``, ``f1``, ... and candidates
+    ``c00``, ``c01``, ..., each adjacent to its first ``shared_counts[i]``
+    friends."""
+    friends = [f"f{i}" for i in range(max(shared_counts, default=0))]
+    roles = {"v": Role.VICTIM, **dict.fromkeys(friends, Role.ONE_HOP)}
+    adj = {"v": set(friends), **{f: {"v"} for f in friends}}
+    for i, shared in enumerate(shared_counts):
+        candidate = f"c{i:02d}"
+        roles[candidate] = Role.TWO_HOP_SINGLE_EDGE if shared == 1 else Role.TWO_HOP_RELEVANT
+        adj[candidate] = set(friends[:shared])
+        for friend in friends[:shared]:
+            adj[friend].add(candidate)
+    return FriendshipGraph(victim="v", roles=roles, adj=adj, one_hop=frozenset(friends))
+
+
+def info_of(attrs):
+    """The information score of one candidate showing ``attrs``."""
+    oracle = SimpleNamespace(public_attributes_of=lambda node: attrs)
+    [score] = score_candidates(pool_graph([2]), table_rates(), oracle)
+    return score.info_score
+
+
 def test_info_score_all_three_match():
     attrs = {"education": "padua", "hometown": "padua", "current_city": "padua"}
-    score = info_score(attrs, table_rates())
+    score = info_of(attrs)
     assert score == Fraction(80, 300)
     assert abs(float(score) - 0.266) <= 0.001
 
 
 def test_info_score_single_match():
     attrs = {"hometown": "venice"}
-    assert info_score(attrs, table_rates()) == Fraction(3, 300)
+    assert info_of(attrs) == Fraction(3, 300)
 
 
 def test_info_score_value_missing_from_tables():
     attrs = {"education": "venice", "current_city": "venice"}
     # current_city "venice" is not in the rates; only education counts.
-    assert info_score(attrs, table_rates()) == Fraction(10, 300)
+    assert info_of(attrs) == Fraction(10, 300)
 
 
 def test_info_score_private_candidate_is_zero():
-    assert info_score(None, table_rates()) == Fraction(0)
+    assert info_of(None) == Fraction(0)
+
+
+def as_fields(value):
+    """Every field of a score as (type, value), so 1 and Fraction(1) differ."""
+    return [(type(getattr(value, f.name)), getattr(value, f.name)) for f in fields(value)]
+
+
+def typed(table):
+    """feature -> [(label, type of rate, rate)] in order, from a rate table
+    or a ranking."""
+    return {
+        feature: [(label, type(rate), rate) for label, rate in dict(pairs).items()]
+        for feature, pairs in table.items()
+    }
+
+
+LABELS = st.sampled_from(["padua", "rome", "venice", "milan"])
+# A friend's visible attributes: any subset of FEATURES; {} is private.
+ATTRS = st.dictionaries(st.sampled_from(FEATURES), LABELS)
+RATE = st.fractions(0, 1, max_denominator=12)
+THRESHOLD = st.sampled_from([Fraction(0), Fraction(1)]) | RATE
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    records=st.lists(ATTRS, min_size=1, max_size=8),
+    extra=st.dictionaries(st.sampled_from(FEATURES), st.dictionaries(LABELS, RATE)),
+    # Private candidates (None) and labels the friends never show.
+    pool=st.lists(
+        st.tuples(st.none() | st.dictionaries(st.sampled_from(FEATURES), LABELS | st.just("oslo")),
+                  st.integers(0, 4)),
+        max_size=6,
+    ),
+    best_info=THRESHOLD,
+    best_edges=THRESHOLD,
+    use_extra=st.booleans(),
+)
+# Six friends, counts 2 and 3: the rates 1/3 and 1/2 share the factor 6.
+@example(
+    records=[{"hometown": "rome"}] * 2 + [{"hometown": "padua"}] * 3 + [{}],
+    extra={}, pool=[({"hometown": "rome"}, 2), ({"hometown": "padua"}, 3)],
+    best_info=Fraction(0), best_edges=Fraction(1), use_extra=False,
+)
+@example(records=[{}], extra={}, pool=[], best_info=Fraction(1), best_edges=Fraction(1),
+         use_extra=False)
+def test_integer_kernel_equals_fraction_formulas(
+    records, extra, pool, best_info, best_edges, use_extra
+):
+    records = {f"f{i}": attrs for i, attrs in enumerate(records)}
+    rates = extract_rates(records)
+    assert typed(rates) == typed(brute_rates(records))
+    assert typed(rank_guesses(rates)) == typed(brute_rankings(rates))
+
+    if use_extra:  # rate tables with unrelated denominators, some empty
+        rates = {f: extra.get(f, {}) for f in FEATURES}
+    graph = pool_graph([shared for _, shared in pool])
+    by_node = {f"c{i:02d}": entry for i, entry in enumerate(pool)}
+    oracle = SimpleNamespace(public_attributes_of=lambda node: by_node[node][0])
+    thresholds = Thresholds(best_info, best_edges)
+    scored = score_candidates(graph, rates, oracle)
+    assert [as_fields(s) for s in scored] == [
+        as_fields(s) for s in brute_scores(by_node, rates)
+    ]
+    assert [as_fields(s) for s in classify(scored, thresholds)] == [
+        as_fields(s) for s in brute_scores(by_node, rates, thresholds)
+    ]
 
 
 def full_pipeline_scores(snapshot):
