@@ -14,6 +14,12 @@ repository root: per workload and end-to-end metric, each side's median
 and quartiles over the seeds and the number of pairs the working tree
 won, followed by every run. The exit code is 0 only when every run
 printed ``"correct": true``.
+
+With ``--compare BENCH_<old>.json`` it then prints, per workload and
+metric, the change's median in the old file and in the new one, and the
+difference in percent of the old median:
+
+    python3 perf/record.py --label NAME --parent REV --seeds 101 --compare BENCH_pr20.json
 """
 
 from __future__ import annotations
@@ -103,6 +109,22 @@ def _summarize(runs: list[dict], declared: list[dict]) -> dict:
     return summary
 
 
+def _compare(old: dict, new: dict) -> list[str]:
+    """One line per workload and metric the two records share: the
+    change's median in each and the difference in percent."""
+    lines = []
+    for workload, entry in new["workloads"].items():
+        before = old["workloads"].get(workload, {}).get("summary", {})
+        for metric, summary in entry["summary"].items():
+            if metric not in before:
+                continue
+            was, now = before[metric]["change"]["median"], summary["change"]["median"]
+            percent = f"{(now - was) / was * 100:+.1f}%" if was else "n/a"
+            lines.append(f"{workload:<8} {metric:<20} {was:>10.4g} -> {now:<10.4g} "
+                         f"{percent:>7} {summary['unit']} ({summary['better']} is better)")
+    return lines
+
+
 def main(argv=None) -> int:
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -110,7 +132,11 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--seconds", type=float, default=declared["run_seconds"])
+    parser.add_argument("--compare", type=Path, metavar="BENCH_OLD.json",
+                        help="print the change's medians against this earlier file")
     args = parser.parse_args(argv)
+    # Read it before the runs, so a bad path fails in seconds, not after them.
+    earlier = json.loads(args.compare.read_text(encoding="utf-8")) if args.compare else None
 
     parent_sha = _git("rev-parse", "--verify", args.parent + "^{commit}").decode().strip()
     head_sha = _git("rev-parse", "HEAD").decode().strip()
@@ -149,6 +175,9 @@ def main(argv=None) -> int:
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out}")
+    if earlier is not None:
+        print(f"change medians: {args.compare} -> {out.name}")
+        print("\n".join(_compare(earlier, record)))
     correct = all(
         run[side]["correct"]
         for name in workloads for run in runs[name] for side in ("parent", "change")

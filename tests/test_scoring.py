@@ -138,12 +138,11 @@ def test_integer_kernel_equals_fraction_formulas(
     records, extra, pool, best_info, best_edges, use_extra
 ):
     records = {f"f{i}": attrs for i, attrs in enumerate(records)}
-    rates = extract_rates(records)
-    assert typed(rates) == typed(brute_rates(records))
+    extracted = extract_rates(records)
+    assert typed(extracted) == typed(brute_rates(records))
+    # Or rate tables with unrelated denominators, some empty.
+    rates = {f: extra.get(f, {}) for f in FEATURES} if use_extra else extracted
     assert typed(rank_guesses(rates)) == typed(brute_rankings(rates))
-
-    if use_extra:  # rate tables with unrelated denominators, some empty
-        rates = {f: extra.get(f, {}) for f in FEATURES}
     graph = pool_graph([shared for _, shared in pool])
     by_node = {f"c{i:02d}": entry for i, entry in enumerate(pool)}
     oracle = SimpleNamespace(public_attributes_of=lambda node: by_node[node][0])
