@@ -124,7 +124,7 @@ def _victim_files(result, victim_doc: dict) -> dict[str, str]:
     if result.skipped:
         return files
     files["graph.dot"] = graph_to_dot(result.pruned_graph)
-    files["mutuals.json"] = json_text(result.survey.mutuals_document())
+    files["mutuals.json"] = json_text(result.survey.mutuals)
     rate_rows = [
         [feature, label, f"{rate.numerator}/{rate.denominator}", _cell(rate)]
         for feature, table in result.rates.items()

@@ -28,7 +28,7 @@ def graph_to_dot(graph: FriendshipGraph) -> str:
         "graph friendship {",
         "  node [style=filled];",
     ]
-    nodes = graph.nodes()
+    nodes = sorted(graph.roles)
     quoted = {node: _quote(node) for node in nodes}
     for node in nodes:
         lines.append(f"  {quoted[node]} [fillcolor={ROLE_COLORS[graph.roles[node]]}];")

@@ -170,10 +170,11 @@ def json_text(document) -> str:
     for pipeline values too: the one renderer of the JSON artifacts.
 
     A ``Fraction`` is written as ``{"exact": "n/d", "value": float}``, a
-    dataclass as the object of its fields, and a :class:`Rendered` value
-    as the text it holds. ``json.dumps`` falls back to its pure-Python
-    encoder whenever ``indent`` is set; this uses the C string encoder and
-    writes each leaf where it sits. Other scalars (``str`` and ``int``
+    ``frozenset`` as its sorted list, a dataclass as the object of its
+    fields, and a :class:`Rendered` value as the text it holds.
+    ``json.dumps`` falls back to its pure-Python encoder whenever
+    ``indent`` is set; this uses the C string encoder and writes each
+    leaf where it sits. Other scalars (``str`` and ``int``
     subclasses too) and dicts with a non-string key go through
     ``json.dumps``, so a type it cannot write raises ``TypeError``.
     """
@@ -201,9 +202,11 @@ _encode_str = json.encoder.encode_basestring_ascii
 def _items(prefixes, values, newline: str, out: list[str]) -> None:
     """Write each value after its prefix, each at the indentation of
     ``newline``: leaves of the exact types JSON decodes to, ``Fraction``s
-    and lists of strings in place, anything else through ``_render``."""
+    and lists or frozensets of strings in place, the rest via ``_render``."""
     for prefix, value in zip(prefixes, values):
         kind = type(value)
+        if kind is frozenset:  # as its sorted list, through the list branches
+            value, kind = sorted(value), list
         if kind is str:
             out.append(prefix + _encode_str(value))
         elif kind is list and value and type(value[0]) is str:

@@ -1,10 +1,11 @@
 """Two-hop neighborhood survey and friendship-graph assembly.
 
 The survey recovers the target's friends, then re-runs recovery on each
-of them and asks the oracle for the mutual friends of every
-(friend, friend-of-friend) pair. The graph assembler turns the survey
-into a simple undirected graph with role-labelled nodes; single-edge
-pruning drops 2-hop ids that share only one friend with the target.
+of them and maps the mutual friends of every (friend, friend-of-friend)
+pair as ``mutuals.json`` writes them: friend -> friend-of-friend ->
+common friends. The graph assembler turns the survey into a simple
+undirected graph with role-labelled nodes; single-edge pruning drops
+2-hop ids that share only one friend with the target.
 """
 
 from __future__ import annotations
@@ -26,23 +27,17 @@ class Role(str, Enum):
 
 @dataclass(frozen=True)
 class TwoHopSurvey:
-    victim: str
-    recovered: FriendsFound
-    mutuals: dict[tuple[str, str], frozenset[str]]
+    """``mutuals`` maps friend -> friend-of-friend -> their common friends,
+    sorted at both levels; a friend with no surveyed pair has no row. The
+    victim is ``recovered.target``."""
 
-    def mutuals_document(self) -> dict[str, dict[str, list[str]]]:
-        """friend -> friend-of-friend -> their mutual friends, one entry
-        per surveyed pair, whatever characters the ids hold."""
-        document: dict[str, dict[str, list[str]]] = {}
-        for (a, b), common in self.mutuals.items():
-            document.setdefault(a, {})[b] = sorted(common)  # json_text sorts the keys
-        return document
+    recovered: FriendsFound
+    mutuals: dict[str, dict[str, frozenset[str]]]
 
 
 @dataclass
 class FriendshipGraph:
-    victim: str
-    roles: dict[str, Role]
+    roles: dict[str, Role]  # the victim is the one VICTIM node
     adj: dict[str, set[str]]  # symmetric; every node in ``roles`` has an entry
     one_hop: frozenset[str]
 
@@ -51,39 +46,41 @@ class FriendshipGraph:
         """Each edge once, as a sorted pair."""
         return {(a, b) for a, near in self.adj.items() for b in near if a < b}
 
-    def nodes(self) -> list[str]:
-        return sorted(self.roles)
-
 
 def collect_2hop(victim: str, oracle: PublicView) -> TwoHopSurvey:
     """Run recovery on the victim and each recovered friend, and map the
     mutual friends of every (friend, friend-of-friend) pair.
 
     Each profile is surveyed once: the victim's friends are distinct.
-    Entries for the victim itself are skipped: a pair (friend, victim)
-    carries no new information. Each fact is paid for once: ``(b, a)``
-    reuses the mutual friends of ``(a, b)``, and recovery on a friend
-    ``t`` asks no friendship check whose answer the survey holds: one an
-    earlier target asked, or one of an id in the answer of an earlier
-    pair ``(f, t)``, since every id in that answer is a friend of ``t``.
+    The pair (friend, victim) is skipped by design, though its answer
+    names friends of the victim that recovery missed (ROADMAP item 1).
+    Each fact is paid for once: ``(b, a)`` reuses the mutual friends of
+    ``(a, b)``, and recovery on a friend ``t`` asks no friendship check
+    whose answer the survey holds: one an earlier target asked, or one
+    of an id in the answer of an earlier pair ``(f, t)``, since every id
+    in that answer is a friend of ``t``.
     """
     recovered = recover_friends(victim, oracle)
     # For each friend still to recover: id -> whether it is a friend of
     # that friend, for every fact the survey holds about the pair.
     held = {friend: {victim: True} for friend in recovered.friends}
-    mutuals: dict[tuple[str, str], frozenset[str]] = {}
+    mutuals: dict[str, dict[str, frozenset[str]]] = {}
     for friend in sorted(recovered.friends):
         found = recover_friends(friend, oracle, held.pop(friend))
         for later in found.candidates & held.keys():
             held[later][friend] = later in found.friends
+        row = {}
         for second in sorted(found.friends - {victim}):
-            mirror = mutuals.get((second, friend))
-            common = mutuals[(friend, second)] = (
+            # None also when recovery on an earlier ``second`` missed ``friend``
+            mirror = mutuals.get(second, {}).get(friend)
+            common = row[second] = (
                 oracle.mutual_friends(friend, second) if mirror is None else mirror
             )
             if second in held:
                 held[second].update(dict.fromkeys(common, True))
-    return TwoHopSurvey(victim=victim, recovered=recovered, mutuals=mutuals)
+        if row:
+            mutuals[friend] = row
+    return TwoHopSurvey(recovered=recovered, mutuals=mutuals)
 
 
 def build_graph(survey: TwoHopSurvey) -> FriendshipGraph:
@@ -99,29 +96,30 @@ def build_graph(survey: TwoHopSurvey) -> FriendshipGraph:
     (sorted) pair order; a 2-hop node is TWO_HOP_SINGLE_EDGE exactly
     when its shared-edge count is 1.
     """
-    victim = survey.victim
+    victim = survey.recovered.target
     one_hop = survey.recovered.friends
     roles = {victim: Role.VICTIM, **dict.fromkeys(one_hop, Role.ONE_HOP)}
     adj: dict[str, set[str]] = {victim: set(one_hop)}
     for friend in one_hop:
         adj[friend] = {victim}
     relevant, common_friend = Role.TWO_HOP_RELEVANT, Role.COMMON_FRIEND
-    for (friend, second), commons in survey.mutuals.items():
-        if second not in roles:
-            roles[second] = relevant
-            adj[second] = set(commons)
-        else:
-            adj[second] |= commons
-        # difference(roles) probes the common ids, not every key of roles
-        if new := commons.difference(roles):
-            roles.update(dict.fromkeys(new, common_friend))
-            adj.update({common: set() for common in new})
-        adj[friend] |= commons
-        adj[friend].add(second)
+    for friend, row in survey.mutuals.items():
+        for second, commons in row.items():
+            if second not in roles:
+                roles[second] = relevant
+                adj[second] = set(commons)
+            else:
+                adj[second] |= commons
+            # difference(roles) probes the common ids, not every key of roles
+            if new := commons.difference(roles):
+                roles.update(dict.fromkeys(new, common_friend))
+                adj.update({common: set() for common in new})
+            adj[friend] |= commons
+        adj[friend].update(row)
     for a, near in adj.items():  # add the missing side of each edge
         for b in near:
             adj[b].add(a)
-    graph = FriendshipGraph(victim=victim, roles=roles, adj=adj, one_hop=one_hop)
+    graph = FriendshipGraph(roles=roles, adj=adj, one_hop=one_hop)
     for node, role in roles.items():
         if role is relevant and shared_edge_count(graph, node) == 1:
             roles[node] = Role.TWO_HOP_SINGLE_EDGE
@@ -158,6 +156,4 @@ def prune_single_edge(graph: FriendshipGraph) -> FriendshipGraph:
     }
     roles = {node: role for node, role in graph.roles.items() if node not in doomed}
     adj = {node: graph.adj[node] - doomed for node in roles}
-    return FriendshipGraph(
-        victim=graph.victim, roles=roles, adj=adj, one_hop=graph.one_hop
-    )
+    return FriendshipGraph(roles=roles, adj=adj, one_hop=graph.one_hop)

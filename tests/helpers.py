@@ -154,8 +154,9 @@ def reference_graph(survey: TwoHopSurvey) -> SimpleNamespace:
     gives each node the first role it meets in survey order. A 2-hop node
     whose brute-force count of recovered-friend neighbours is 1 is
     TWO_HOP_SINGLE_EDGE. Returns ``roles`` and ``adj``."""
-    roles: dict[str, Role] = {survey.victim: Role.VICTIM}
-    adj: dict[str, set[str]] = {survey.victim: set()}
+    victim = survey.recovered.target
+    roles: dict[str, Role] = {victim: Role.VICTIM}
+    adj: dict[str, set[str]] = {victim: set()}
 
     def meet(node: str, role: Role) -> None:
         if node not in roles:
@@ -168,14 +169,15 @@ def reference_graph(survey: TwoHopSurvey) -> SimpleNamespace:
 
     for friend in sorted(survey.recovered.friends):
         meet(friend, Role.ONE_HOP)
-        edge(survey.victim, friend)
-    for (friend, second), commons in survey.mutuals.items():
-        meet(second, Role.TWO_HOP_RELEVANT)
-        edge(friend, second)
-        for common in sorted(commons):
-            meet(common, Role.COMMON_FRIEND)
-            edge(friend, common)
-            edge(common, second)
+        edge(victim, friend)
+    for friend, row in survey.mutuals.items():
+        for second, commons in row.items():
+            meet(second, Role.TWO_HOP_RELEVANT)
+            edge(friend, second)
+            for common in sorted(commons):
+                meet(common, Role.COMMON_FRIEND)
+                edge(friend, common)
+                edge(common, second)
     for node, role in roles.items():
         shared = sum(1 for near in adj[node] if near in survey.recovered.friends)
         if role == Role.TWO_HOP_RELEVANT and shared == 1:

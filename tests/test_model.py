@@ -531,6 +531,15 @@ def test_json_text_renders_report_values(value):
     assert json_text(value) == json.dumps(reference(value), sort_keys=True, indent=2) + "\n"
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(max_size=4), st.frozensets(st.text(max_size=4), max_size=6), max_size=4))
+def test_json_text_writes_frozensets_as_sorted_lists(rows):
+    assert json_text(frozenset()) == "[]\n"
+    assert json_text(frozenset({"b", "a", "c"})) == '[\n  "a",\n  "b",\n  "c"\n]\n'
+    sorted_rows = {key: sorted(commons) for key, commons in rows.items()}
+    assert json_text({"f": rows}) == json.dumps({"f": sorted_rows}, sort_keys=True, indent=2) + "\n"
+
+
 def test_json_text_rejects_unknown_types():
     with pytest.raises(TypeError):
         json_text({"a": [object()]})

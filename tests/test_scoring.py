@@ -59,7 +59,7 @@ def pool_graph(shared_counts: list[int]) -> FriendshipGraph:
         adj[candidate] = set(friends[:shared])
         for friend in friends[:shared]:
             adj[friend].add(candidate)
-    return FriendshipGraph(victim="v", roles=roles, adj=adj, one_hop=frozenset(friends))
+    return FriendshipGraph(roles=roles, adj=adj, one_hop=frozenset(friends))
 
 
 def info_of(attrs):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,8 +84,7 @@ def test_collect_path_graph():
     assert survey.recovered.friends == frozenset({"a"})
     # The victim is excluded from a's recovered set, leaving only b;
     # a and b share no third friend.
-    assert set(survey.mutuals) == {("a", "b")}
-    assert survey.mutuals[("a", "b")] == frozenset()
+    assert survey.mutuals == {"a": {"b": frozenset()}}
 
 
 def test_mirror_pair_asked_once():
@@ -101,7 +102,7 @@ def test_mirror_pair_asked_once():
     )
     view = PublicView(snap)
     survey = collect_2hop("v", view)
-    assert survey.mutuals == {("a", "b"): {"v"}, ("b", "a"): {"v"}}
+    assert survey.mutuals == {"a": {"b": {"v"}}, "b": {"a": {"v"}}}
     # Pictures of v, a and b; the pairs {v, a}, {v, b} and {a, b} checked
     # once each; one mutual-friends call for {a, b}.
     assert view.query_count == 3 + 3 + 1
@@ -137,14 +138,14 @@ def test_mutual_friends_answer_settles_a_later_check(monkeypatch):
         FriendsFound("b", frozenset({"v", "a", "c"}), {"v", "a", "c"}),
     ]
     assert survey.recovered == found[0]
-    assert survey.mutuals == {("a", "b"): {"v", "c"}, ("b", "a"): {"v", "c"}, ("b", "c"): {"a"}}
+    assert survey.mutuals == {"a": {"b": {"v", "c"}}, "b": {"a": {"v", "c"}, "c": {"a"}}}
     # Pictures of v, a and b; the pairs {v, a}, {v, b} and {a, b}
     # checked once each, and {b, c} settled by mutual_friends(a, b);
     # mutual-friends calls for {a, b} and {b, c}.
     assert view.query_count == 3 + 3 + 2
 
 
-def test_mutuals_document_keeps_pairs_whose_joined_ids_collide():
+def test_mutuals_keep_pairs_whose_joined_ids_collide():
     # (x, y&z) and (x&y, z) would both read "x&y&z" as one joined key.
     snap = load_snapshot(
         {
@@ -161,19 +162,31 @@ def test_mutuals_document_keeps_pairs_whose_joined_ids_collide():
         }
     )
     survey = collect_2hop("v", PublicView(snap))
-    assert len(survey.mutuals) == 4
-    assert survey.mutuals_document() == {
-        "x": {"x&y": ["v"], "y&z": []},
-        "x&y": {"x": ["v"], "z": []},
+    assert survey.mutuals == {
+        "x": {"x&y": {"v"}, "y&z": set()},
+        "x&y": {"x": {"v"}, "z": set()},
     }
 
 
-def test_collect_matches_brute_force_on_corpus():
-    snap = generate_synthetic(full_engagement_config(n=40, degree=6.0), seed=21)
-    victim = sorted(snap.users)[0]
-    survey = collect_2hop(victim, PublicView(snap))
-    for (a, b), mutual in survey.mutuals.items():
-        assert mutual == brute_mutual_friends(snap, a, b)
+@pytest.mark.parametrize("p_friend", [1.0, 0.5])
+def test_collect_matches_brute_force_on_corpus(p_friend):
+    # Below full engagement, recovery on a can find b while recovery on b
+    # misses a, so some surveyed pairs have no mirror.
+    config = replace(full_engagement_config(n=40, degree=6.0), p_friend=p_friend)
+    snap = generate_synthetic(config, seed=21)
+    for victim in sorted(snap.users)[:8]:
+        survey = collect_2hop(victim, PublicView(snap))
+        # Pairs (f, s): f a recovered friend, s a friend of f that engaged
+        # one of f's public pictures, other than the victim.
+        expected = {}
+        for f in sorted(set(snap.users[victim].friends) & engaged_users(snap, victim)):
+            seconds = sorted(set(snap.users[f].friends) & engaged_users(snap, f) - {victim})
+            if seconds:
+                expected[f] = {s: brute_mutual_friends(snap, f, s) for s in seconds}
+        assert survey.mutuals == expected
+        # build_graph's first-role assignment follows this order.
+        assert list(survey.mutuals) == list(expected)
+        assert all(list(survey.mutuals[f]) == list(expected[f]) for f in expected)
 
 
 def test_build_star_graph():
@@ -190,7 +203,9 @@ def test_build_star_graph():
             ],
         }
     )
-    graph = build_graph(collect_2hop("v", PublicView(snap)))
+    survey = collect_2hop("v", PublicView(snap))
+    assert survey.mutuals == {}  # a friend with no surveyed pair gets no row
+    graph = build_graph(survey)
     assert set(graph.roles) == {"v", "a", "b"}
     assert graph.edges == {("a", "v"), ("b", "v")}
     assert graph.roles["v"] == Role.VICTIM
@@ -339,7 +354,7 @@ def role_graphs(draw):
         if a != b:
             adj[a].add(b)
             adj[b].add(a)
-    return FriendshipGraph(victim=nodes[0], roles=roles, adj=adj, one_hop=frozenset())
+    return FriendshipGraph(roles=roles, adj=adj, one_hop=frozenset())
 
 
 @settings(max_examples=200, deadline=None)
