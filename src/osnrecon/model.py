@@ -174,9 +174,9 @@ def json_text(document) -> str:
     fields, and a :class:`Rendered` value as the text it holds.
     ``json.dumps`` falls back to its pure-Python encoder whenever
     ``indent`` is set; this uses the C string encoder and writes each
-    leaf where it sits. Other scalars (``str`` and ``int``
-    subclasses too) and dicts with a non-string key go through
-    ``json.dumps``, so a type it cannot write raises ``TypeError``.
+    leaf where it sits. Other scalars (``str`` and ``int`` subclasses
+    too) and dicts with a non-string key go through ``json.dumps``, so a
+    type it cannot write raises ``TypeError``.
     """
     out: list[str] = []
     _items(("",), (document,), "\n", out)

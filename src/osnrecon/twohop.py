@@ -53,7 +53,7 @@ def collect_2hop(victim: str, oracle: PublicView) -> TwoHopSurvey:
 
     Each profile is surveyed once: the victim's friends are distinct.
     The pair (friend, victim) is skipped by design, though its answer
-    names friends of the victim that recovery missed (ROADMAP item 1).
+    names friends of the victim that recovery missed (see ROADMAP.md).
     Each fact is paid for once: ``(b, a)`` reuses the mutual friends of
     ``(a, b)``, and recovery on a friend ``t`` asks no friendship check
     whose answer the survey holds: one an earlier target asked, or one
