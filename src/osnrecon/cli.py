@@ -67,7 +67,7 @@ def _read_json(path):
     with open(path, encoding="utf-8") as handle:
         try:
             return json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise UsageError(f"{path}: invalid JSON ({exc})") from exc
 
 

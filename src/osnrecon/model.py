@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, lt
 
 
 class SnapshotError(Exception):
@@ -88,10 +88,19 @@ class OsnSnapshot:
         engagers. The generator and ``ingest_edge_list`` build valid
         snapshots by construction, so only ``load_snapshot`` calls it.
 
-        Users and pictures are checked in order; within one, the error
-        names the least offending id, whatever the hash seed. A non-string
-        id, never a user and so always a stray, is a ``SchemaError``."""
+        One bulk check over the whole snapshot (``_consistent``) accepts or
+        rejects it. Only a rejected snapshot is walked in order, user by user
+        and picture by picture, and the walk only words the error, so every
+        error text is the walk's: within the first faulty user or picture,
+        it names the least offending id, whatever the hash seed. A
+        non-string id, never a user and so always a stray, is a
+        ``SchemaError``."""
         users = self.users
+        try:
+            if _consistent(users):
+                return
+        except (KeyError, TypeError):  # an unknown or non-string id
+            pass
         for uid, user in users.items():
             if not uid:
                 raise IntegrityError("empty user id")
@@ -158,6 +167,31 @@ class OsnSnapshot:
 
     def to_json(self) -> str:
         return json_text(self.to_document())
+
+
+def _consistent(users: dict[str, UserProfile]) -> bool:
+    """Whether ``OsnSnapshot.validate``'s walk would pass, from whole-snapshot
+    sets and counts.
+
+    Each friendship is probed once, from its lesser id: every friend ``f >
+    u`` of ``u`` must be a user listing ``u``. Those probes find, for each
+    of the ``up`` entries, a distinct mirror entry that is not itself up,
+    so the ``total`` friend entries number at least ``2 * up``; equality
+    leaves no room for an unprobed entry, a self-pair or an unknown id.
+    """
+    up = total = 0
+    engaged: set[str] = set()
+    for uid, user in users.items():
+        friends = user.friends
+        total += len(friends)
+        for fid in friends:
+            if fid > uid:
+                if uid not in users[fid].friends:
+                    return False
+                up += 1
+        for pic in user.pictures:
+            engaged.update(pic.likers, pic.commenters)
+    return 2 * up == total and all(users) and users.keys() >= engaged
 
 
 def _strings(ids, where: str, key: str) -> None:
@@ -300,9 +334,15 @@ def _ids(doc: dict, key: str, where: str, build):
 
 
 def _sorted_distinct(values: list) -> tuple:
+    ids = tuple(values)
+    # Snapshot files write each list in order: a string first item and each
+    # item less than the next prove it holds distinct strings, sorted. A
+    # non-string item makes ``lt`` raise the TypeError the sort would.
+    if ids and type(ids[0]) is str and all(map(lt, ids, ids[1:])):
+        return ids
     distinct = set(values)
     # Without repeats the list itself is sorted: in linear time when it is
-    # already in order, as snapshot files write it, which a set never is.
+    # nearly in order, which a set never is.
     return tuple(sorted(values if len(distinct) == len(values) else distinct))
 
 
@@ -322,8 +362,31 @@ def _opt_label(doc: dict, key: str, where: str) -> str | None:
     return canonical(value)
 
 
+def _picture(pdoc: dict, seen: set[str]) -> tuple[str, Picture]:
+    """A picture entry's owner and picture, its fields checked in order."""
+    pid = _require(pdoc, "id", str, "picture")
+    where = f"picture {pid!r}"
+    if pid in seen:
+        raise SchemaError(f"{where}: duplicate picture id")
+    owner = _require(pdoc, "owner", str, where)
+    return owner, Picture(
+        id=pid,
+        public=_require(pdoc, "public", bool, where),
+        likers=_ids(pdoc, "likers", where, _sorted_distinct),
+        commenters=_ids(pdoc, "commenters", where, _sorted_distinct),
+    )
+
+
+_PICTURE_FIELDS = itemgetter("id", "owner", "public", "likers", "commenters")
+
+
 def load_snapshot(document: dict) -> OsnSnapshot:
-    """Build and validate a snapshot from its JSON document form."""
+    """Build and validate a snapshot from its JSON document form.
+
+    A picture entry whose fields have their JSON types is built inline. Any
+    other is read again by ``_picture``, which checks its fields in order
+    and words the first fault.
+    """
     if not isinstance(document, dict):
         raise SchemaError("snapshot document must be an object")
     user_docs = _require(document, "users", list, "snapshot")
@@ -336,18 +399,17 @@ def load_snapshot(document: dict) -> OsnSnapshot:
     for pdoc in picture_docs:
         if not isinstance(pdoc, dict):
             raise SchemaError("picture entry must be an object")
-        pid = _require(pdoc, "id", str, "picture")
-        where = f"picture {pid!r}"
-        if pid in seen:
-            raise SchemaError(f"{where}: duplicate picture id")
-        seen.add(pid)
-        owner = _require(pdoc, "owner", str, where)
-        owned.setdefault(owner, []).append(Picture(
-            id=pid,
-            public=_require(pdoc, "public", bool, where),
-            likers=_ids(pdoc, "likers", where, _sorted_distinct),
-            commenters=_ids(pdoc, "commenters", where, _sorted_distinct),
-        ))
+        try:
+            pid, owner, public, likers, commenters = _PICTURE_FIELDS(pdoc)
+            if not (type(pid) is str and pid not in seen and type(owner) is str
+                    and type(public) is bool and type(likers) is list
+                    and type(commenters) is list):
+                raise TypeError
+            picture = Picture(pid, public, _sorted_distinct(likers), _sorted_distinct(commenters))
+        except (KeyError, TypeError):  # a missing field, a wrong type or a repeated id
+            owner, picture = _picture(pdoc, seen)
+        seen.add(picture.id)
+        owned.setdefault(owner, []).append(picture)
 
     users: dict[str, UserProfile] = {}
     for udoc in user_docs:
@@ -401,7 +463,7 @@ def load_snapshot_file(path) -> OsnSnapshot:
     with open(path, encoding="utf-8") as handle:
         try:
             document = json.load(handle, object_hook=shared_strings)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
     return load_snapshot(document)
 

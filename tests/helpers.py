@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from operator import attrgetter
 from types import SimpleNamespace
 
 from osnrecon import (
@@ -13,9 +14,13 @@ from osnrecon import (
     FRIEND,
     NOT_FRIEND,
     CandidateScore,
+    IntegrityError,
     OsnSnapshot,
+    Picture,
     Role,
+    SchemaError,
     TwoHopSurvey,
+    UserProfile,
     load_snapshot,
 )
 from osnrecon.dotexport import ROLE_COLORS
@@ -286,3 +291,86 @@ def rates_from_percentages(
         "hometown": as_fractions(hometown),
         "current_city": as_fractions(current_city),
     }
+
+
+def reference_load(document: dict) -> OsnSnapshot:
+    """``load_snapshot`` as an ordered walk, for documents whose fields all
+    have their JSON types and whose pictures all have known owners.
+
+    Each id list is parsed as it comes, pictures before users, and the
+    built snapshot then goes through ``reference_validate``."""
+
+    def ids(values: list, where: str, key: str, build):
+        try:
+            return build(values)
+        except TypeError:
+            raise SchemaError(f"{where}: field {key!r} must be a list of strings") from None
+
+    def sorted_distinct(values: list) -> tuple:
+        return tuple(sorted(set(values)))
+
+    def label(udoc: dict, key: str) -> str:
+        if not udoc[key].strip():
+            raise SchemaError(f"user {udoc['id']!r}: field {key!r} must be a non-empty string")
+        return udoc[key].strip().casefold()
+
+    owned: dict[str, list[Picture]] = {}
+    for pdoc in document["pictures"]:
+        where = f"picture {pdoc['id']!r}"
+        owned.setdefault(pdoc["owner"], []).append(Picture(
+            pdoc["id"], pdoc["public"],
+            ids(pdoc["likers"], where, "likers", sorted_distinct),
+            ids(pdoc["commenters"], where, "commenters", sorted_distinct),
+        ))
+    users = {}
+    for udoc in document["users"]:
+        uid = udoc["id"]
+        privacy = udoc.get("privacy", {})
+        users[uid] = UserProfile(
+            ids(udoc["friends"], f"user {uid!r}", "friends", frozenset),
+            tuple(sorted(owned.pop(uid, ()), key=attrgetter("id"))),
+            {key: label(udoc, key) for key in FEATURES if key in udoc},
+            privacy.get("friends_list_public", False),
+            privacy.get("attributes_public", True),
+        )
+    snapshot = OsnSnapshot(users)
+    reference_validate(snapshot)
+    return snapshot
+
+
+def reference_validate(snapshot: OsnSnapshot) -> None:
+    """``OsnSnapshot.validate`` as an ordered walk: users and pictures in
+    order, each error naming the least offending id of the first faulty
+    one."""
+
+    def strings(values, where: str, key: str) -> None:
+        if not all(isinstance(v, str) for v in values):
+            raise SchemaError(f"{where}: field {key!r} must be a list of strings")
+
+    users = snapshot.users
+    for uid, user in users.items():
+        if not uid:
+            raise IntegrityError("empty user id")
+        if uid in user.friends:
+            strings(user.friends, f"user {uid!r}", "friends")
+            raise IntegrityError(f"user {uid!r} lists itself as a friend")
+        strays = [
+            fid for fid in user.friends
+            if (other := users.get(fid)) is None or uid not in other.friends
+        ]
+        if strays:
+            strings(strays, f"user {uid!r}", "friends")
+            fid = min(strays)
+            if fid not in users:
+                raise IntegrityError(f"user {uid!r} references unknown friend {fid!r}")
+            raise IntegrityError(
+                f"asymmetric friendship: {uid!r} lists {fid!r} but not vice versa"
+            )
+        for pic in user.pictures:
+            strays = [e for e in (*pic.likers, *pic.commenters) if e not in users]
+            if strays:
+                strings(pic.likers, f"picture {pic.id!r}", "likers")
+                strings(pic.commenters, f"picture {pic.id!r}", "commenters")
+                raise IntegrityError(
+                    f"picture {pic.id!r} engaged by unknown user {min(strays)!r}"
+                )

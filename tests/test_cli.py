@@ -300,6 +300,9 @@ def test_out_of_range_options_exit_2(tmp_path, capsys, command, flags):
     assert not out.exists()
 
 
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
 @pytest.mark.parametrize(
     "command, flag, content",
     [
@@ -336,6 +339,10 @@ def test_out_of_range_options_exit_2(tmp_path, capsys, command, flags):
         ("ingest", "--attrs", b"\xfe\xff[]"),
         ("ingest", "--edges", b"a b\nb \xe9\n"),
         ("run", "--snapshot", b'{"users": [{"id": "\xff", "friends": []}]}'),
+        # Nesting deeper than the decoder's recursion limit.
+        pytest.param("generate", "--config", DEEP, id="generate---config-deep"),
+        pytest.param("ingest", "--attrs", DEEP, id="ingest---attrs-deep"),
+        pytest.param("run", "--snapshot", '{"users": ' + DEEP + "}", id="run---snapshot-deep"),
     ],
 )
 def test_malformed_input_files_exit_2(tmp_path, capsys, command, flag, content):

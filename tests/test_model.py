@@ -28,7 +28,7 @@ from osnrecon import (
 import osnrecon.model
 from osnrecon.model import Rendered, json_text
 
-from helpers import reference, worked_example_document
+from helpers import reference, reference_load, worked_example_document
 
 
 def minimal_document():
@@ -137,6 +137,33 @@ class TestLoadSnapshot:
         with pytest.raises(SchemaError) as exc:
             load_snapshot(doc)
         assert str(exc.value) == f"{where}: field {key!r} must be a list of strings"
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"id": None}, "picture: missing field 'id'"),
+            ({"id": 5}, "picture: field 'id' must be str"),
+            ({"owner": None}, "picture 'p': missing field 'owner'"),
+            ({"owner": 5}, "picture 'p': field 'owner' must be str"),
+            ({"public": "true"}, "picture 'p': field 'public' must be bool"),
+            ({"likers": "b"}, "picture 'p': field 'likers' must be list"),
+            ({"commenters": None}, "picture 'p': missing field 'commenters'"),
+            ({"commenters": [["b"]]}, "picture 'p': field 'commenters' must be a list of strings"),
+            ({"likers": ["b", ["b"]], "public": 1}, "picture 'p': field 'public' must be bool"),
+            ({"id": "q", "owner": None}, "picture 'q': duplicate picture id"),
+        ],
+    )
+    def test_picture_field_errors_in_field_order(self, change, message):
+        # The first picture is 'q', so only a change to that id repeats one.
+        doc = minimal_document()
+        picture = {"id": "p", "owner": "a", "public": True, "likers": ["b"], "commenters": []}
+        faulty = {**picture, **change}
+        for key in [key for key, value in change.items() if value is None]:
+            del faulty[key]
+        doc["pictures"] = [{**picture, "id": "q"}, faulty]
+        with pytest.raises(SchemaError) as exc:
+            load_snapshot(doc)
+        assert str(exc.value) == message
 
     def test_engagement_is_sorted_distinct_ids(self):
         doc = minimal_document()
@@ -447,6 +474,91 @@ def test_load_snapshot_file_round_trips_generated_text(tmp_path):
     path = tmp_path / "snapshot.json"
     path.write_text(text, encoding="utf-8")
     assert load_snapshot_file(path).to_json() == text
+
+
+FAULTS = ("none", "asymmetric", "unknown friend", "self-friend", "empty id",
+          "unknown engager", "non-string id", "unhashable id", "unsorted engagers",
+          "duplicate engagers", "blank label")
+
+
+@st.composite
+def planted_faults(draw):
+    """A small snapshot document with one fault planted, or none."""
+    n = draw(st.integers(2, 6))
+    ids = [f"u{k}" for k in range(n)]
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda p: p[0] < p[1]), max_size=8))
+    friends = {uid: [] for uid in ids}
+    for i, j in sorted(pairs):
+        friends[ids[i]].append(ids[j])
+        friends[ids[j]].append(ids[i])
+    users = [
+        {"id": uid, "friends": draw(st.permutations(friends[uid])),
+         "privacy": {"friends_list_public": draw(st.booleans())},
+         **({"hometown": draw(st.sampled_from([" Padua", "rome"]))} if draw(st.booleans()) else {})}
+        for uid in ids
+    ]
+    pictures = [
+        {"id": f"p{k}", "owner": draw(st.sampled_from(ids)), "public": draw(st.booleans()),
+         "likers": sorted(draw(st.sets(st.sampled_from(ids)))),
+         "commenters": sorted(draw(st.sets(st.sampled_from(ids))))}
+        for k in range(draw(st.integers(0, 4)))
+    ]
+    fault = draw(st.sampled_from(FAULTS))
+    user = draw(st.sampled_from(users))
+    engaged = (draw(st.sampled_from(pictures))[draw(st.sampled_from(["likers", "commenters"]))]
+               if pictures else user["friends"])
+    id_list = draw(st.sampled_from([user["friends"], engaged]))
+    if fault in ("non-string id", "unhashable id") and draw(st.booleans()):
+        id_list.clear()  # a list of the odd id alone
+    # Not a user id: below, between and above the users' ids.
+    stranger = draw(st.sampled_from(["", "a", "u", "u00", "u3x", "z"]))
+    if fault == "asymmetric":
+        other = draw(st.sampled_from([u for u in users if u is not user]))
+        if other["id"] in user["friends"]:
+            other["friends"].remove(user["id"])
+        else:
+            user["friends"].append(other["id"])
+    elif fault == "unknown friend" and stranger not in ids:
+        user["friends"].insert(draw(st.integers(0, len(user["friends"]))), stranger)
+    elif fault == "self-friend":
+        user["friends"].append(user["id"])
+    elif fault == "empty id":
+        old = user["id"]
+        for entry in users + pictures:
+            for key in ("id", "owner"):
+                if entry.get(key) == old:
+                    entry[key] = ""
+            for key in ("friends", "likers", "commenters"):
+                if old in entry.get(key, ()):
+                    entry[key] = sorted(i if i != old else "" for i in entry[key])
+    elif fault == "unknown engager" and stranger not in ids:
+        engaged.insert(draw(st.integers(0, len(engaged))), stranger)
+    elif fault == "non-string id":
+        id_list.insert(draw(st.integers(0, len(id_list))),
+                       draw(st.sampled_from([5, 2.5, True, None])))
+    elif fault == "unhashable id":
+        id_list.insert(draw(st.integers(0, len(id_list))), draw(st.sampled_from([["u0"], {}])))
+    elif fault == "unsorted engagers":
+        engaged.reverse()
+    elif fault == "duplicate engagers" and engaged:
+        engaged.insert(draw(st.integers(0, len(engaged))), draw(st.sampled_from(engaged)))
+    elif fault == "blank label":
+        user["education"] = draw(st.sampled_from(["", " \t"]))
+    return {"users": users, "pictures": pictures}
+
+
+def _outcome(load, document):
+    try:
+        return load(document)
+    except SnapshotError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(planted_faults())
+def test_load_snapshot_matches_the_ordered_walk(document):
+    assert _outcome(load_snapshot, document) == _outcome(reference_load, document)
 
 
 json_scalars = (
