@@ -11,7 +11,6 @@ import argparse
 import csv
 import gc
 import io
-import json
 import os
 import sys
 from dataclasses import asdict, fields, replace
@@ -33,6 +32,7 @@ from .model import (
     ingest_edge_list,
     json_text,
     load_snapshot_file,
+    read_json,
 )
 from .oracle import FEATURES, OracleError, PublicView
 from .scoring import CalibrationError, CandidateScore, Thresholds, calibrate
@@ -63,14 +63,6 @@ def _cell(value):
     return f"{value.numerator / value.denominator:.6f}" if type(value) is Fraction else value
 
 
-def _read_json(path):
-    with open(path, encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-            raise UsageError(f"{path}: invalid JSON ({exc})") from exc
-
-
 # The GeneratorConfig fields with a flag on generate and ingest, in --help order.
 # Only generate takes --users and --mean-degree: an edge list fixes ingest's graph.
 GENERATOR_FLAGS = ("pictures_per_user", "p_friend", "p_stranger",
@@ -78,7 +70,7 @@ GENERATOR_FLAGS = ("pictures_per_user", "p_friend", "p_stranger",
 
 
 def _generator_config(args) -> GeneratorConfig:
-    config = GeneratorConfig.from_dict(_read_json(args.config) if args.config else {})
+    config = GeneratorConfig.from_dict(read_json(args.config) if args.config else {})
     overrides = {name: getattr(args, name) for name in GENERATOR_FLAGS}
     overrides["n_users"] = getattr(args, "users", None)
     overrides["mean_degree"] = getattr(args, "mean_degree", None)
@@ -111,7 +103,7 @@ def cmd_ingest(args) -> int:
             lines = handle.readlines()
         except UnicodeDecodeError as exc:
             raise UsageError(f"{args.edges}: not UTF-8 text ({exc})") from exc
-    attribute_rows = _read_json(args.attrs) if args.attrs else None
+    attribute_rows = read_json(args.attrs) if args.attrs else None
     snapshot = ingest_edge_list(
         lines, _generator_config(args), seed=args.seed, attribute_rows=attribute_rows
     )

@@ -236,23 +236,25 @@ _encode_str = json.encoder.encode_basestring_ascii
 def _items(prefixes, values, newline: str, out: list[str]) -> None:
     """Write each value after its prefix, each at the indentation of
     ``newline``: leaves of the exact types JSON decodes to, ``Fraction``s
-    and lists or frozensets of strings in place, the rest via ``_render``."""
+    and lists or frozensets of strings in place, containers item by item.
+    A container's prefix and a ``Rendered`` text are entries of their own."""
     for prefix, value in zip(prefixes, values):
         kind = type(value)
         if kind is frozenset:  # as its sorted list, through the list branches
             value, kind = sorted(value), list
         if kind is str:
             out.append(prefix + _encode_str(value))
-        elif kind is list and value and type(value[0]) is str:
+            continue
+        if kind is list and value and type(value[0]) is str:
             inner = newline + "  "
             try:
                 text = ("," + inner).join(map(_encode_str, value))
-            except TypeError:  # encode_basestring_ascii takes only strings
-                out.append(prefix)
-                _render(value, newline, out)
+            except TypeError:  # a non-string item: written as any other list
+                pass
             else:
                 out.append(prefix + "[" + inner + text + newline + "]")
-        elif kind is int or kind is float and math.isfinite(value):
+                continue
+        if kind is int or kind is float and math.isfinite(value):
             out.append(prefix + repr(value))  # what json.dumps writes for these
         elif kind is Fraction:
             n, d = value.numerator, value.denominator  # n / d rounds as float(value) does
@@ -262,11 +264,36 @@ def _items(prefixes, values, newline: str, out: list[str]) -> None:
             out.append(prefix + ("true" if value else "false"))
         elif value is None:
             out.append(prefix + "null")
-        elif kind is list and not value:
-            out.append(prefix + "[]")
-        else:
+        elif kind is Rendered:
             out.append(prefix)
-            _render(value, newline, out)
+            out.append(value.text[:-1].replace("\n", newline))
+        else:
+            separator = "," + newline + "  "
+            if isinstance(value, dict):
+                keys = sorted(value)
+                try:
+                    heads = [separator + _encode_str(key) + ": " for key in keys]
+                except TypeError:  # a non-string key
+                    out.append(prefix)
+                    out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
+                    continue
+                items, brackets = map(value.__getitem__, keys), "{}"
+            elif isinstance(value, (list, tuple)):
+                heads, items, brackets = [separator] * len(value), value, "[]"
+            elif (layout := _field_heads(kind)) is not None:
+                names, keys = layout
+                heads = [separator + key for key in keys]
+                items, brackets = map(getattr, repeat(value), names), "{}"
+            else:
+                out.append(prefix + json.dumps(value))
+                continue
+            out.append(prefix)
+            if not heads:
+                out.append(brackets)
+                continue
+            heads[0] = brackets[0] + heads[0][1:]
+            _items(heads, items, newline + "  ", out)
+            out.append(newline + brackets[1])
 
 
 @cache
@@ -276,41 +303,6 @@ def _field_heads(kind: type) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
         return None
     names = tuple(sorted(f.name for f in fields(kind)))
     return names, tuple(_encode_str(name) + ": " for name in names)
-
-
-def _render(value, newline: str, out: list[str]) -> None:
-    """Write a value that ``_items`` does not write in place."""
-    separator = "," + newline + "  "
-    if isinstance(value, dict):
-        keys = sorted(value)
-        try:
-            prefixes = [separator + _encode_str(key) + ": " for key in keys]
-        except TypeError:
-            out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
-            return
-        values = map(value.__getitem__, keys)
-        brackets = "{}"
-    elif isinstance(value, (list, tuple)):
-        prefixes = [separator] * len(value)
-        values = value
-        brackets = "[]"
-    elif (layout := _field_heads(type(value))) is not None:
-        names, heads = layout
-        prefixes = [separator + head for head in heads]
-        values = map(getattr, repeat(value), names)
-        brackets = "{}"
-    elif type(value) is Rendered:
-        out.append(value.text[:-1].replace("\n", newline))
-        return
-    else:
-        out.append(json.dumps(value))
-        return
-    if not prefixes:
-        out.append(brackets)
-        return
-    prefixes[0] = brackets[0] + prefixes[0][1:]
-    _items(prefixes, values, newline + "  ", out)
-    out.append(newline + brackets[1])
 
 
 def _require(doc: dict, key: str, kind: type, where: str):
@@ -340,10 +332,7 @@ def _sorted_distinct(values: list) -> tuple:
     # non-string item makes ``lt`` raise the TypeError the sort would.
     if ids and type(ids[0]) is str and all(map(lt, ids, ids[1:])):
         return ids
-    distinct = set(values)
-    # Without repeats the list itself is sorted: in linear time when it is
-    # nearly in order, which a set never is.
-    return tuple(sorted(values if len(distinct) == len(values) else distinct))
+    return tuple(sorted(set(values)))
 
 
 def _flag(doc: dict, key: str, default: bool, where: str) -> bool:
@@ -441,15 +430,15 @@ def load_snapshot(document: dict) -> OsnSnapshot:
     return snapshot
 
 
-def load_snapshot_file(path) -> OsnSnapshot:
-    """Load and validate a snapshot file, keeping one string object per id.
+def read_json(path):
+    """Decode any JSON input file, keeping one string object per string.
 
     ``json`` shares object keys but gives every string value its own
-    object: one per friend, liker and commenter reference. The hook
-    shares string values and string list items as each object decodes,
-    so the copies are freed before the whole document exists, which is
-    when the load peaks. Anything else is left for the loader's checks.
-    """
+    object: one per friend, liker and commenter reference in a snapshot.
+    The hook shares string values and string list items as each object
+    decodes, so the copies are freed before the whole document exists,
+    which is when a load peaks. Undecodable text, non-UTF-8 bytes and
+    too deep nesting raise ``SchemaError``."""
     share = {}.setdefault
 
     def shared_strings(obj: dict) -> dict:
@@ -462,10 +451,14 @@ def load_snapshot_file(path) -> OsnSnapshot:
 
     with open(path, encoding="utf-8") as handle:
         try:
-            document = json.load(handle, object_hook=shared_strings)
+            return json.load(handle, object_hook=shared_strings)
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
-    return load_snapshot(document)
+
+
+def load_snapshot_file(path) -> OsnSnapshot:
+    """Load and validate a snapshot file."""
+    return load_snapshot(read_json(path))
 
 
 @dataclass(frozen=True)

@@ -154,6 +154,12 @@ def test_top_k_empty_targets_rejected():
         top_k_accuracy({}, {}, 1)
 
 
+def test_top_k_below_one_rejected():
+    guesses = {"v1": {f: _ranking(["padua"]) for f in FEATURES}}
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        top_k_accuracy(guesses, {}, 0)
+
+
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 10**6), n=st.integers(3, 20))
 def test_rate_mass_invariant(seed, n):

@@ -301,51 +301,89 @@ def test_out_of_range_options_exit_2(tmp_path, capsys, command, flags):
 
 
 DEEP = "[" * 100_000 + "]" * 100_000
+INVALID = "invalid JSON ("  # every JSON input's decode failure, from model.read_json
+
+
+def _input_row(command, flag, content, message):
+    """A row whose test id names the command, flag and content, not the
+    expected message."""
+    text = content.decode("latin-1") if isinstance(content, bytes) else content
+    return pytest.param(command, flag, content, message, id=f"{command}-{flag}-{text}")
 
 
 @pytest.mark.parametrize(
-    "command, flag, content",
+    "command, flag, content, message",
     [
-        ("generate", "--config", "{bad"),
-        ("generate", "--config", "[1, 2]"),
-        ("generate", "--config", '{"cities": [1]}'),
-        ("generate", "--config", '{"n_users": "x"}'),
-        ("generate", "--config", '{"n_users": 2.5}'),
-        ("generate", "--config", '{"mean_degree": null}'),
-        ("generate", "--config", '{"mean_degree": NaN}'),
+        _input_row("generate", "--config", "{bad", INVALID),
+        _input_row("generate", "--config", "[1, 2]", "generator config must be a JSON object"),
+        _input_row("generate", "--config", '{"cities": [1]}',
+                   "generator option 'cities': expected a list of strings"),
+        _input_row("generate", "--config", '{"n_users": "x"}',
+                   "n_users must be an integer, got 'x'"),
+        _input_row("generate", "--config", '{"n_users": 2.5}', "n_users must be an integer, got 2.5"),
+        _input_row("generate", "--config", '{"mean_degree": null}',
+                   "mean_degree must be a number, got None"),
+        _input_row("generate", "--config", '{"mean_degree": NaN}',
+                   "mean_degree must be finite and >= 0, got nan"),
         # The generator would write a label its own loader rejects.
-        ("generate", "--config", '{"cities": ["  ", "rome"]}'),
-        ("ingest", "--attrs", "{bad"),
-        ("ingest", "--attrs", "5"),
-        ("ingest", "--attrs", "[1]"),
-        ("ingest", "--attrs", '[{"id": "a", "feature": "hometown", "value": "   "}]'),
-        ("run", "--snapshot", '{"users": [{"id": "a", "friends": [],'
-         ' "privacy": {"attributes_public": "false"}}]}'),
-        ("run", "--snapshot", '{"users": [{"id": "a", "friends": [["b"]]}]}'),
-        ("run", "--snapshot", '{"users": [{"id": "a", "friends": []}], "pictures": [{"id": "p",'
-         ' "owner": "a", "public": true, "likers": [["x"]], "commenters": []}]}'),
+        _input_row("generate", "--config", '{"cities": ["  ", "rome"]}',
+                   "vocabulary label '' is empty or not canonical"),
+        _input_row("generate", "--config", '{"pictures_per_user": -1}',
+                   "pictures_per_user must be >= 0"),
+        _input_row("generate", "--config", '{"colour": 1}',
+                   "unknown generator option(s): ['colour']"),
+        _input_row("ingest", "--attrs", "{bad", INVALID),
+        _input_row("ingest", "--attrs", "5", "attribute rows must be a JSON array"),
+        _input_row("ingest", "--attrs", "[1]", "attribute row: missing field 'id'"),
+        _input_row("ingest", "--attrs", '[{"id": "a", "feature": "hometown", "value": "   "}]',
+                   "attribute row for 'a': field 'value' must be a non-empty string"),
+        _input_row("ingest", "--attrs", '[{"id": "a", "feature": "age", "value": "30"}]',
+                   "attribute row for 'a': unknown feature 'age'"),
+        _input_row("ingest", "--edges", "# no pairs\n", "edge list must mention at least two users"),
+        _input_row("run", "--snapshot", "{bad", INVALID),
+        _input_row("run", "--snapshot", "[1]", "snapshot document must be an object"),
+        _input_row("run", "--snapshot", '{"users": [], "pictures": {}}',
+                   "snapshot: field 'pictures' must be a list"),
+        _input_row("run", "--snapshot", '{"users": [], "pictures": [1]}',
+                   "picture entry must be an object"),
+        _input_row("run", "--snapshot", '{"users": [{"id": "a", "friends": [], "privacy": []}]}',
+                   "user 'a': field 'privacy' must be an object"),
+        _input_row("run", "--snapshot", '{"users": [{"id": "a", "friends": [],'
+                   ' "privacy": {"attributes_public": "false"}}]}',
+                   "user 'a': privacy flag 'attributes_public' must be true or false"),
+        _input_row("run", "--snapshot", '{"users": [{"id": "a", "friends": [["b"]]}]}',
+                   "user 'a': field 'friends' must be a list of strings"),
+        _input_row("run", "--snapshot", '{"users": [{"id": "a", "friends": []}], "pictures": [{"id":'
+                   ' "p", "owner": "a", "public": true, "likers": [["x"]], "commenters": []}]}',
+                   "picture 'p': field 'likers' must be a list of strings"),
         # Non-string ids and entries that the loader's string sharing leaves alone.
-        ("run", "--snapshot", '{"users": [{"id": "a", "friends": [1]}]}'),
-        ("run", "--snapshot", '{"users": [{"id": "a", "friends": []}], "pictures": [{"id": "p",'
-         ' "owner": "a", "public": true, "likers": [{"id": "a"}], "commenters": []}]}'),
-        ("run", "--snapshot", '{"users": ["a"]}'),
-        ("run", "--snapshot", '{"users": [{"id": "", "friends": []}]}'),
-        ("run", "--snapshot", '{"users": [{"id": "a", "friends": []}, {"id": "a", "friends": []}]}'),
-        ("run", "--snapshot", '{"users": [{"id": "a", "friends": []}], "pictures": ['
-         '{"id": "p", "owner": "a", "public": true, "likers": [], "commenters": []}, '
-         '{"id": "p", "owner": "a", "public": false, "likers": [], "commenters": []}]}'),
+        _input_row("run", "--snapshot", '{"users": [{"id": "a", "friends": [1]}]}',
+                   "user 'a': field 'friends' must be a list of strings"),
+        _input_row("run", "--snapshot", '{"users": [{"id": "a", "friends": []}], "pictures": [{"id":'
+                   ' "p", "owner": "a", "public": true, "likers": [{"id": "a"}], "commenters": []}]}',
+                   "picture 'p': field 'likers' must be a list of strings"),
+        _input_row("run", "--snapshot", '{"users": ["a"]}', "user entry must be an object"),
+        _input_row("run", "--snapshot", '{"users": [{"id": "", "friends": []}]}', "empty user id"),
+        _input_row("run", "--snapshot",
+                   '{"users": [{"id": "a", "friends": []}, {"id": "a", "friends": []}]}',
+                   "user 'a': duplicate user id"),
+        _input_row("run", "--snapshot", '{"users": [{"id": "a", "friends": []}], "pictures": ['
+                   '{"id": "p", "owner": "a", "public": true, "likers": [], "commenters": []}, '
+                   '{"id": "p", "owner": "a", "public": false, "likers": [], "commenters": []}]}',
+                   "picture 'p': duplicate picture id"),
         # Bytes that are not UTF-8.
-        ("generate", "--config", b'{"cities": ["\xff"]}'),
-        ("ingest", "--attrs", b"\xfe\xff[]"),
-        ("ingest", "--edges", b"a b\nb \xe9\n"),
-        ("run", "--snapshot", b'{"users": [{"id": "\xff", "friends": []}]}'),
+        _input_row("generate", "--config", b'{"cities": ["\xff"]}', INVALID),
+        _input_row("ingest", "--attrs", b"\xfe\xff[]", INVALID),
+        _input_row("ingest", "--edges", b"a b\nb \xe9\n", "not UTF-8 text ("),
+        _input_row("run", "--snapshot", b'{"users": [{"id": "\xff", "friends": []}]}', INVALID),
         # Nesting deeper than the decoder's recursion limit.
-        pytest.param("generate", "--config", DEEP, id="generate---config-deep"),
-        pytest.param("ingest", "--attrs", DEEP, id="ingest---attrs-deep"),
-        pytest.param("run", "--snapshot", '{"users": ' + DEEP + "}", id="run---snapshot-deep"),
+        pytest.param("generate", "--config", DEEP, INVALID, id="generate---config-deep"),
+        pytest.param("ingest", "--attrs", DEEP, INVALID, id="ingest---attrs-deep"),
+        pytest.param("run", "--snapshot", '{"users": ' + DEEP + "}", INVALID,
+                     id="run---snapshot-deep"),
     ],
 )
-def test_malformed_input_files_exit_2(tmp_path, capsys, command, flag, content):
+def test_malformed_input_files_exit_2(tmp_path, capsys, command, flag, content, message):
     bad = tmp_path / "bad.json"
     bad.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
     edges = tmp_path / "edges.txt"
@@ -357,7 +395,9 @@ def test_malformed_input_files_exit_2(tmp_path, capsys, command, flag, content):
         "run": ["run", "--victim", "a", "--out", str(out)],
     }[command]
     assert main(argv + [flag, str(bad)]) == 2
-    assert capsys.readouterr().err.startswith(f"error ({command}): ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error ({command}): ")
+    assert message in err
     assert not out.exists()
 
 

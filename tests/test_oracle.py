@@ -155,6 +155,11 @@ def test_budget_exhaustion():
     assert view.query_count == 2
 
 
+def test_negative_budget_rejected():
+    with pytest.raises(ValueError, match="budget must be non-negative"):
+        PublicView(two_user_snapshot(), budget=-1)
+
+
 def test_counter_is_atomic_under_threads():
     snap = generate_synthetic(GeneratorConfig(n_users=10, mean_degree=3.0), seed=1)
     view = PublicView(snap)

@@ -214,6 +214,15 @@ def test_classify_requires_both_thresholds():
     assert classify([score], both)[0].verdict == FRIEND
 
 
+@pytest.mark.parametrize(
+    "best_info, best_edges",
+    [(Fraction(-1, 10), Fraction(0)), (Fraction(0), Fraction(11, 10))],
+)
+def test_thresholds_outside_unit_interval_rejected(best_info, best_edges):
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        Thresholds(best_info, best_edges)
+
+
 def test_classify_monotone_in_thresholds():
     rng = random.Random(0)
     scores = [
