@@ -15,14 +15,15 @@ from .model import (
     load_snapshot_file,
 )
 from .oracle import FEATURES, PublicView, QueryBudgetExceeded
-from .recover import FriendsFound, recover_friends
 from .twohop import (
+    FriendsFound,
     FriendshipGraph,
     Role,
     TwoHopSurvey,
     build_graph,
     collect_2hop,
     prune_single_edge,
+    recover_friends,
     shared_edge_count,
     two_hop_nodes,
 )

@@ -17,7 +17,7 @@ from operator import itemgetter
 from typing import Callable
 
 from .oracle import FEATURES, PublicView
-from .recover import FriendsFound
+from .twohop import FriendsFound
 
 # feature -> label -> rate, with every feature as a key, in FEATURES order
 Rates = dict[str, dict[str, Fraction]]

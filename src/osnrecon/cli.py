@@ -43,10 +43,16 @@ class UsageError(Exception):
 
 
 def write_atomic(path: Path, text: str) -> None:
+    if not path.name:  # "" and "." name no file
+        raise UsageError(f"{str(path)!r} names no file")
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:

@@ -11,16 +11,8 @@ exposes exactly the channels that leak in the platform being modelled:
 
 Ground-truth friend sets are never returned directly. Every call is
 counted, and an optional budget turns rate limiting into a hard error.
-Each fact is paid for once per victim: the survey
-(``twohop.collect_2hop``) reuses the answer to a pair it has already
-asked, in either order, and recovery on a friend ``t`` does not check
-the ids in an earlier ``mutual_friends(f, t)`` answer, each of which is
-a friend of ``t``. That reuse stays sound under a rule that narrows the
-answer, such as leaving out users who hide their friend list, because
-the answer then still holds only true common friends. The survey does
-not reuse the reverse facts (``f`` and ``s`` are friends of each id in
-``mutual_friends(f, s)``): they would save under 1% of the queries for
-a set operation on every pair.
+Each victim's survey pays for each fact once; ``twohop`` states that
+rule and keeps the ledger.
 """
 
 from __future__ import annotations

@@ -1,20 +1,37 @@
-"""Two-hop neighborhood survey and friendship-graph assembly.
+"""Friend recovery, the two-hop survey and friendship-graph assembly.
 
-The survey recovers the target's friends, then re-runs recovery on each
+Recovery takes everyone who liked or commented one of the target's
+public pictures as a candidate and verifies each with a pairwise
+friendship check through the oracle, unless the survey already holds
+the answer. Verification is exact, so the result contains no false
+positives; recall is bounded by how many real friends engaged.
+
+The survey recovers the victim's friends, then re-runs recovery on each
 of them and maps the mutual friends of every (friend, friend-of-friend)
 pair as ``mutuals.json`` writes them: friend -> friend-of-friend ->
 common friends. The graph assembler turns the survey into a simple
 undirected graph with role-labelled nodes; single-edge pruning drops
 2-hop ids that share only one friend with the target.
+
+Each fact is paid for once per victim. ``(b, a)`` reuses the mutual
+friends of ``(a, b)``, and recovery on a friend ``t`` asks no friendship
+check whose answer the survey holds: one an earlier target asked, or one
+of an id in the answer of an earlier pair ``(f, t)``, since every id in
+that answer is a friend of ``t``. That reuse stays sound under a rule
+that narrows the answer, such as leaving out users who hide their friend
+list, because the answer then still holds only true common friends. The
+survey does not reuse the reverse facts (``f`` and ``s`` are friends of
+each id in ``mutual_friends(f, s)``): they would save under 1% of the
+queries for a set operation on every pair.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from enum import Enum
 
 from .oracle import PublicView
-from .recover import FriendsFound, recover_friends
 
 
 class Role(str, Enum):
@@ -23,6 +40,17 @@ class Role(str, Enum):
     TWO_HOP_RELEVANT = "two_hop_relevant"
     TWO_HOP_SINGLE_EDGE = "two_hop_single_edge"
     COMMON_FRIEND = "common_friend"
+
+
+@dataclass(frozen=True)
+class FriendsFound:
+    target: str
+    friends: frozenset[str]
+    candidates: Set[str]
+
+    @property
+    def candidates_checked(self) -> int:
+        return len(self.candidates)
 
 
 @dataclass(frozen=True)
@@ -47,6 +75,34 @@ class FriendshipGraph:
         return {(a, b) for a, near in self.adj.items() for b in near if a < b}
 
 
+def recover_friends(
+    target: str, oracle: PublicView, held: Mapping[str, bool] = {}
+) -> FriendsFound:
+    """Recover the target's friends visible through picture engagement.
+
+    ``held`` maps ids to whether each is a friend of the target, for the
+    facts the caller has already paid for. A candidate in it is settled
+    by that answer; every other candidate costs one friendship check.
+    The order of the checks does not matter: a query budget trips at the
+    same count in any order, and a victim that trips it is skipped whole.
+    """
+    pictures = oracle.public_pictures_of(target)
+    candidates = set().union(
+        *(picture.likers for picture in pictures),
+        *(picture.commenters for picture in pictures),
+    )
+    candidates.discard(target)
+
+    settled = candidates & held.keys()
+    # In place, the two updates cost O(len(settled)); a copy of the
+    # candidates less the settled ones would cost O(len(candidates)).
+    candidates -= settled
+    friends = {c for c in candidates if oracle.are_friends(c, target)}
+    candidates |= settled
+    friends.update(c for c in settled if held[c])
+    return FriendsFound(target=target, friends=frozenset(friends), candidates=candidates)
+
+
 def collect_2hop(victim: str, oracle: PublicView) -> TwoHopSurvey:
     """Run recovery on the victim and each recovered friend, and map the
     mutual friends of every (friend, friend-of-friend) pair.
@@ -54,15 +110,10 @@ def collect_2hop(victim: str, oracle: PublicView) -> TwoHopSurvey:
     Each profile is surveyed once: the victim's friends are distinct.
     The pair (friend, victim) is skipped by design, though its answer
     names friends of the victim that recovery missed (see ROADMAP.md).
-    Each fact is paid for once: ``(b, a)`` reuses the mutual friends of
-    ``(a, b)``, and recovery on a friend ``t`` asks no friendship check
-    whose answer the survey holds: one an earlier target asked, or one
-    of an id in the answer of an earlier pair ``(f, t)``, since every id
-    in that answer is a friend of ``t``.
+    ``held`` is the ledger of facts paid for (see the module docstring):
+    friend still to recover -> id -> whether the two are friends.
     """
     recovered = recover_friends(victim, oracle)
-    # For each friend still to recover: id -> whether it is a friend of
-    # that friend, for every fact the survey holds about the pair.
     held = {friend: {victim: True} for friend in recovered.friends}
     mutuals: dict[str, dict[str, frozenset[str]]] = {}
     for friend in sorted(recovered.friends):

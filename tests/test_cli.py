@@ -514,3 +514,28 @@ def test_main_restores_collector_state(tmp_path, capsys, monkeypatch, enabled, o
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize(
+    "command, out",
+    [("generate", "."), ("generate", ""), ("ingest", "."), ("calibrate", "."),
+     ("export-dot", "."), ("generate", "existing-dir")],
+)
+def test_out_that_is_no_file_exits_2_and_leaves_nothing(
+    cycle_inputs, tmp_path, capsys, monkeypatch, command, out
+):
+    # "." and "" name no file; a directory cannot be replaced by one, and
+    # the temporary file written next to it must not stay behind.
+    root, victims = cycle_inputs
+    inputs = {
+        "generate": ["--users", "40", "--seed", "7"],
+        "ingest": ["--edges", str(root / "edges.txt"), "--seed", "3"],
+        "calibrate": ["--snapshot", str(root / "generated.json"), *victims],
+        "export-dot": ["--snapshot", str(root / "generated.json"), "--victim", "u000"],
+    }
+    (tmp_path / "existing-dir").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main([command, *inputs[command], "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error ({command}): ")
+    assert [path.name for path in tmp_path.iterdir()] == ["existing-dir"]
+    assert not any((tmp_path / "existing-dir").iterdir())
