@@ -13,6 +13,7 @@ import gc
 import io
 import os
 import sys
+import tempfile
 from dataclasses import asdict, fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -162,20 +163,23 @@ def cmd_run(args) -> int:
     )
     out_dir = _default_out(args)
     # Victims are rendered as they finish and written only once all are
-    # done, so a run that fails part-way writes nothing.
-    files: dict[Path, str] = {}
+    # done, so a run that fails part-way writes nothing. Until then their
+    # texts wait in one unnamed temporary file, not in memory. (Writing the
+    # files between victims instead slows the victims after each write.)
+    files: list[tuple[Path, int]] = []  # path and length in characters, in spool order
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+        def render(result, victim_doc: dict) -> Rendered:
+            victim_files = _victim_files(result, victim_doc)
+            victim_dir = out_dir / result.victim
+            files.extend((victim_dir / name, len(text)) for name, text in victim_files.items())
+            spool.write("".join(victim_files.values()))
+            # aggregate.json lists the victim's report.json text, not a second rendering
+            return Rendered(victim_files["report.json"])
 
-    def render(result, victim_doc: dict) -> Rendered:
-        victim_files = _victim_files(result, victim_doc)
-        victim_dir = out_dir / result.victim
-        for name, text in victim_files.items():
-            files[victim_dir / name] = text
-        # aggregate.json lists the victim's report.json text, not a second rendering
-        return Rendered(victim_files["report.json"])
-
-    report = run_experiment(snapshot, args.victim, thresholds, config, on_victim=render)
-    for path, text in files.items():
-        write_atomic(path, text)
+        report = run_experiment(snapshot, args.victim, thresholds, config, on_victim=render)
+        spool.seek(0)
+        for path, length in files:
+            write_atomic(path, spool.read(length))
     write_atomic(out_dir / "aggregate.json", json_text(report))
     print(f"wrote report for {len(report['victims'])} victim(s) to {out_dir}")
     return 0

@@ -254,7 +254,9 @@ def _items(prefixes, values, newline: str, out: list[str]) -> None:
             else:
                 out.append(prefix + "[" + inner + text + newline + "]")
                 continue
-        if kind is int or kind is float and math.isfinite(value):
+        if kind is list and not value:
+            out.append(prefix + "[]")
+        elif kind is int or kind is float and math.isfinite(value):
             out.append(prefix + repr(value))  # what json.dumps writes for these
         elif kind is Fraction:
             n, d = value.numerator, value.denominator  # n / d rounds as float(value) does

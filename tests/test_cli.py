@@ -2,6 +2,8 @@ import argparse
 import gc
 import json
 import re
+import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from osnrecon import cli
 from osnrecon.cli import _cell, build_parser, main
 
 from helpers import worked_example_snapshot
@@ -124,6 +127,105 @@ def test_run_artifacts_are_byte_identical(tmp_path, capsys):
     for name in ("aggregate.json", "victim/report.json", "victim/graph.dot",
                  "victim/scores.csv", "victim/rates.csv", "victim/mutuals.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def _generate(tmp_path, users, mean_degree, seed) -> Path:
+    snap = tmp_path / "snap.json"
+    argv = ["generate", "--users", str(users), "--mean-degree", str(mean_degree),
+            "--seed", str(seed), "--out", str(snap)]
+    assert main(argv) == 0
+    return snap
+
+
+def _run_all_argv(snap: Path, out: Path) -> list[str]:
+    """``run`` with every user of the snapshot as a victim."""
+    victims = [user["id"] for user in json.loads(snap.read_text(encoding="utf-8"))["users"]]
+    return ["run", "--snapshot", str(snap), "--out", str(out),
+            *(arg for victim in victims for arg in ("--victim", victim))]
+
+
+def test_run_holds_no_victim_files_in_memory(tmp_path, capsys):
+    # Holding every victim's texts until the run ends would peak above the
+    # size of its two largest files alone.
+    out = tmp_path / "out"
+    argv = _run_all_argv(_generate(tmp_path, 60, 20, 3), out)
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    held = sum(path.stat().st_size for name in ("mutuals.json", "graph.dot")
+               for path in out.glob("*/" + name))
+    assert len(list(out.glob("*/mutuals.json"))) > 50
+    assert peak < held
+
+
+@pytest.fixture
+def spool_dir(tmp_path, monkeypatch):
+    """An empty directory that ``tempfile`` puts its files in."""
+    spool_dir = tmp_path / "spool"
+    spool_dir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spool_dir))
+    return spool_dir
+
+
+def test_run_leaves_no_spool_after_success(tmp_path, capsys, spool_dir):
+    assert main(_run_all_argv(_generate(tmp_path, 30, 6, 1), tmp_path / "out")) == 0
+    assert (tmp_path / "out" / "aggregate.json").is_file()
+    assert not any(spool_dir.iterdir())
+
+
+def test_run_leaves_no_spool_and_no_out_after_failure(tmp_path, capsys, spool_dir):
+    snap = write_worked_example(tmp_path)
+    out = tmp_path / "o"
+    # "c1" is evaluated, and spooled, before "nobody" fails the run.
+    argv = ["run", "--snapshot", str(snap), "--victim", "nobody", "--victim", "c1",
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert "nobody" in capsys.readouterr().err
+    assert not out.exists()
+    assert not any(spool_dir.iterdir())
+
+
+def test_run_writes_non_ascii_files_as_rendered(tmp_path, capsys, spool_dir, monkeypatch):
+    # The spool is read back by lengths in characters: a file whose text
+    # holds multi-byte characters must come back whole, and so must the
+    # files after it.
+    snap = _generate(tmp_path, 30, 6, 1)
+
+    def accented(value):
+        if isinstance(value, str):
+            return f"zoë-{value}-münchen"
+        if isinstance(value, list):
+            return [accented(item) for item in value]
+        if isinstance(value, dict):
+            return {key: accented(item) for key, item in value.items()}
+        return value
+
+    snap.write_text(json.dumps(accented(json.loads(snap.read_text()))), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = _run_all_argv(snap, out)
+    rendered = {}
+    real_victim_files = cli._victim_files
+
+    def victim_files(result, victim_doc):
+        rendered[result.victim] = files = real_victim_files(result, victim_doc)
+        return files
+
+    monkeypatch.setattr(cli, "_victim_files", victim_files)
+    assert main(argv) == 0
+    assert sorted(rendered) == sorted(argv[6::2])  # every --victim
+    texts = [(victim, name, text) for victim, files in rendered.items()
+             for name, text in files.items()]
+    assert any(not text.isascii() for _, name, text in texts if name == "graph.dot")
+    assert any(not text.isascii() for _, name, text in texts if name == "friends.csv")
+    for victim, name, text in texts:
+        assert (out / victim / name).read_bytes() == text.encode("utf-8")
+    assert not any(spool_dir.iterdir())
 
 
 def test_run_verdicts_respect_thresholds(tmp_path, capsys):
