@@ -1,23 +1,23 @@
-"""Attribute-rate tables and ranked guesses.
+"""Attribute records, rate tables and ranked guesses.
 
 A profile's visible attributes are a plain feature -> label mapping
-holding only the features the user filled in. For each feature
-(education, hometown, current city) the rate of a value is the number of
-recovered friends carrying it divided by the total number of recovered
-friends. Friends with private or absent attributes contribute nothing to
-the numerator but stay in the denominator, so the per-feature rate mass
-is at most 1. Labels are counted as integers, and each rate is reported
-as one exact ``Fraction(count, friends)``.
+holding only the features the user filled in. One collector fetches
+them for the recovered friends and for the scored pool. For each
+feature (education, hometown, current city) the rate of a value is the
+number of recovered friends carrying it divided by their total. Friends
+with private or absent attributes contribute nothing to the numerator
+but stay in the denominator, so the per-feature rate mass is at most 1.
+Labels are counted as integers, and each rate is reported as one exact
+``Fraction(count, friends)``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Iterable
 
 from .oracle import FEATURES, PublicView
-from .twohop import FriendsFound
 
 # feature -> label -> rate, with every feature as a key, in FEATURES order
 Rates = dict[str, dict[str, Fraction]]
@@ -30,14 +30,11 @@ class InferenceError(Exception):
 
 
 def collect_friend_records(
-    friends: FriendsFound, oracle: PublicView
+    ids: Iterable[str], oracle: PublicView
 ) -> dict[str, dict[str, str]]:
-    """Each recovered friend's visible attributes, in sorted id order; a
-    private profile gives an empty mapping."""
-    return {
-        friend: oracle.public_attributes_of(friend) or {}
-        for friend in sorted(friends.friends)
-    }
+    """Each id's visible attributes in sorted id order, one query per id;
+    a private profile gives an empty mapping."""
+    return {node: oracle.public_attributes_of(node) or {} for node in sorted(ids)}
 
 
 def extract_rates(records: dict[str, dict[str, str]]) -> Rates:

@@ -2,7 +2,9 @@
 end-to-end per-victim experiment against ground truth.
 
 Only this module wires the pipeline stages together and reads the
-snapshot's ground truth; the stages it drives see only the oracle.
+snapshot's ground truth. Survey, recovery and the one attribute
+collector query the oracle; rates, rankings and scoring read only the
+records that collector returns.
 """
 
 from __future__ import annotations
@@ -169,10 +171,11 @@ def _attack(
         return result
     result.pruned_candidates = sorted(result.graph.roles.keys() - result.pruned_graph.roles)
 
-    result.friend_records = collect_friend_records(recovered, oracle)
+    result.friend_records = collect_friend_records(recovered.friends, oracle)
     result.rates = extract_rates(result.friend_records)
     result.rankings = rank_guesses(result.rates)
-    scored = score_candidates(result.pruned_graph, result.rates, oracle)
+    pool = collect_friend_records(two_hop_nodes(result.pruned_graph), oracle)
+    scored = score_candidates(result.pruned_graph, result.rates, pool)
     result.scores = classify(scored, thresholds)
 
     ground_friends = snapshot.users[victim].friends

@@ -3,6 +3,8 @@
 A candidate's information score is the sum of its matching rates across
 the features in ``oracle.FEATURES`` divided by their number; values
 absent from the rate tables (or hidden by privacy) contribute zero. The
+candidates' attributes arrive as records from the one collector,
+``attributes.collect_friend_records``; this module never queries. The
 edge score is the candidate's shared-friend count normalized by the
 pool maximum. Scores are computed on integer counts, with every rate
 written over one common denominator per victim, and each reported
@@ -17,8 +19,8 @@ from fractions import Fraction
 from math import lcm
 
 from .attributes import Rates
-from .oracle import FEATURES, PublicView
-from .twohop import FriendshipGraph, shared_edge_count, two_hop_nodes
+from .oracle import FEATURES
+from .twohop import FriendshipGraph, shared_edge_count
 
 FRIEND = "FRIEND"
 NOT_FRIEND = "NOT_FRIEND"
@@ -50,18 +52,15 @@ class CandidateScore:
 
 
 def score_candidates(
-    graph: FriendshipGraph, rates: Rates, oracle: PublicView
+    graph: FriendshipGraph, rates: Rates, records: dict[str, dict[str, str]]
 ) -> list[CandidateScore]:
-    """Score every retained 2-hop node.
-
-    ``build_graph`` gives each recovered friend the ONE_HOP role, so no
-    2-hop node is a recovered friend. Edge scores are normalized by the
+    """Score each candidate of ``records`` (retained 2-hop node ->
+    visible attributes), in order. Edge scores are normalized by the
     pool's maximum shared-edge count; a pool whose maximum is zero
     scores zero edges everywhere. Rates are summed as numerators over
     their least common denominator ``d``.
     """
-    pool = two_hop_nodes(graph)
-    counts = {node: shared_edge_count(graph, node) for node in pool}
+    counts = {node: shared_edge_count(graph, node) for node in records}
     highest = max(counts.values(), default=0) or 1  # a zero maximum: every count is 0
     d = lcm(*(rate.denominator for table in rates.values() for rate in table.values()))
     numerators = {
@@ -70,8 +69,7 @@ def score_candidates(
     }
     info_d = len(FEATURES) * d
     scores = []
-    for node in pool:
-        attrs = oracle.public_attributes_of(node) or {}
+    for node, attrs in records.items():
         total = sum(numerators[f].get(v, 0) for f, v in attrs.items())
         shared = counts[node]
         scores.append(

@@ -248,14 +248,14 @@ def brute_rankings(rates: dict[str, dict[str, Fraction]]) -> dict[str, tuple]:
 
 def brute_scores(pool, rates, thresholds=None) -> list[CandidateScore]:
     """Independent candidate scores in ``Fraction`` arithmetic. ``pool``
-    maps each candidate, in scoring order, to its visible attributes (None
+    maps each candidate, in scoring order, to its visible attributes ({}
     when private) and its shared-edge count. With ``thresholds`` each
     score carries the two-threshold verdict, otherwise none."""
     highest = max((shared for _, shared in pool.values()), default=0)
     scores = []
     for candidate, (attrs, shared) in pool.items():
         info = sum(
-            (rates[f].get(v, 0) for f, v in (attrs or {}).items()), Fraction(0)
+            (rates[f].get(v, 0) for f, v in attrs.items()), Fraction(0)
         ) / len(FEATURES)
         edge = Fraction(shared, highest) if highest else Fraction(0)
         verdict = None

@@ -62,8 +62,9 @@ def test_criterion_1_worked_example_scores():
     view = PublicView(snap)
     found = recover_friends(VICTIM, view)
     graph = prune_single_edge(build_graph(collect_2hop(VICTIM, view)))
-    rates = extract_rates(collect_friend_records(found, view))
-    scores = {s.candidate: s for s in score_candidates(graph, rates, view)}
+    rates = extract_rates(collect_friend_records(found.friends, view))
+    pool = collect_friend_records(two_hop_nodes(graph), view)
+    scores = {s.candidate: s for s in score_candidates(graph, rates, pool)}
     ok = (
         abs(float(scores["c1"].info_score) - 0.266) <= 0.001
         and abs(float(scores["c3"].info_score) - 0.010) <= 0.001
@@ -198,7 +199,7 @@ def test_criterion_6_attribute_rate_invariants():
         found = recover_friends(victim, view)
         if not found.friends:
             continue
-        rates = extract_rates(collect_friend_records(found, view))
+        rates = extract_rates(collect_friend_records(found.friends, view))
         total = len(found.friends)
         for feature in FEATURES:
             visible = sum(

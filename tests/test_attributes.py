@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osnrecon import (
-    FriendsFound,
     GeneratorConfig,
     InferenceError,
     PublicView,
@@ -47,7 +46,7 @@ def test_uniform_education():
     snap = snapshot_with_friends(
         [{"id": f"f{i}", "education": "padua"} for i in range(4)]
     )
-    rates = extract_rates(collect_friend_records(recovered(snap), PublicView(snap)))
+    rates = extract_rates(collect_friend_records(recovered(snap).friends, PublicView(snap)))
     assert rates["education"] == {"padua": Fraction(1)}
 
 
@@ -59,21 +58,20 @@ def test_private_friends_dilute_rates():
         {"id": "f3", "privacy": {"attributes_public": False}},
     ]
     snap = snapshot_with_friends(entries)
-    rates = extract_rates(collect_friend_records(recovered(snap), PublicView(snap)))
+    rates = extract_rates(collect_friend_records(recovered(snap).friends, PublicView(snap)))
     assert rates["hometown"] == {"rome": Fraction(1, 2)}
     assert sum(rates["hometown"].values()) < 1
 
 
 def test_zero_recovered_friends_is_an_error():
     snap = snapshot_with_friends([{"id": "f0"}])
-    empty = FriendsFound(target="v", friends=frozenset(), candidates=set())
     with pytest.raises(InferenceError):
-        extract_rates(collect_friend_records(empty, PublicView(snap)))
+        extract_rates(collect_friend_records((), PublicView(snap)))
 
 
 def test_worked_example_rates(worked_example):
     found = recover_friends(VICTIM, PublicView(worked_example))
-    rates = extract_rates(collect_friend_records(found, PublicView(worked_example)))
+    rates = extract_rates(collect_friend_records(found.friends, PublicView(worked_example)))
     assert rates["current_city"] == {
         "padua": Fraction(27, 100),
         "bologna": Fraction(9, 100),
@@ -90,7 +88,7 @@ def test_worked_example_rates(worked_example):
 
 def test_worked_example_ranking(worked_example):
     found = recover_friends(VICTIM, PublicView(worked_example))
-    rates = extract_rates(collect_friend_records(found, PublicView(worked_example)))
+    rates = extract_rates(collect_friend_records(found.friends, PublicView(worked_example)))
     ranking = rank_guesses(rates)
     assert ranking["education"][0][0] == "padua"
     assert ranking["education"][1][0] == "venice"
@@ -100,7 +98,7 @@ def test_worked_example_ranking(worked_example):
 
 def test_single_value_is_top_one():
     snap = snapshot_with_friends([{"id": "f0", "education": "rome"}])
-    records = collect_friend_records(recovered(snap), PublicView(snap))
+    records = collect_friend_records(recovered(snap).friends, PublicView(snap))
     ranking = rank_guesses(extract_rates(records))
     assert ranking["education"] == (("rome", Fraction(1)),)
     assert ranking["hometown"] == ()
@@ -111,7 +109,7 @@ def test_tie_broken_by_label_order():
         [{"id": "f0", "hometown": "rome"}, {"id": "f1", "hometown": "milan"}]
     )
     for _ in range(3):
-        records = collect_friend_records(recovered(snap), PublicView(snap))
+        records = collect_friend_records(recovered(snap).friends, PublicView(snap))
         ranking = rank_guesses(extract_rates(records))
         assert [label for label, _ in ranking["hometown"]] == ["milan", "rome"]
 
@@ -175,7 +173,7 @@ def test_rate_mass_invariant(seed, n):
     if not found.friends:
         return
     view = PublicView(snap)
-    rates = extract_rates(collect_friend_records(found, view))
+    rates = extract_rates(collect_friend_records(found.friends, view))
     total = len(found.friends)
     for feature in FEATURES:
         table = rates[feature]
@@ -186,3 +184,22 @@ def test_rate_mass_invariant(seed, n):
         )
         assert sum(table.values(), Fraction(0)) == Fraction(visible, total)
         assert all(rate > 0 for rate in table.values())
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(3, 12), data=st.data())
+def test_collect_friend_records_matches_brute_force(seed, n, data):
+    snap = generate_synthetic(
+        GeneratorConfig(n_users=n, mean_degree=3.0, p_attributes_public=0.5), seed
+    )
+    # Any ids in any order: the recovered friends and the pool alike.
+    ids = data.draw(st.lists(st.sampled_from(sorted(snap.users)), unique=True))
+    view = PublicView(snap)
+    records = collect_friend_records(ids, view)
+    assert records == {
+        user: profile.attributes if profile.attributes_public else {}
+        for user, profile in snap.users.items()
+        if user in ids
+    }
+    assert list(records) == sorted(ids)
+    assert view.query_count == len(ids)

@@ -90,6 +90,9 @@ def test_each_friend_and_candidate_attributes_charged_once(worked_example, monke
     result = evaluate_victim(worked_example, VICTIM, loose_thresholds())
     assert len(calls) == len(result.survey.recovered.friends) + len(result.scores)
     assert len(calls) == len(set(calls))
+    # Friends first, then the pool, each in id order: this order decides
+    # at which query a budget stops a victim.
+    assert calls == sorted(result.survey.recovered.friends) + [s.candidate for s in result.scores]
 
 
 def test_evaluate_victim_unknown(worked_example):
@@ -254,6 +257,11 @@ def test_queries_equal_channel_calls_and_none_repeats(snapshot, monkeypatch):
                 settled.update((common, end) for common in answer for end in ids)
             elif name == "are_friends":
                 assert ids not in settled
+        # Every survey question comes before the first attribute fetch.
+        names = [name for name, _, _ in view.calls]
+        if "public_attributes_of" in names:
+            first = names.index("public_attributes_of")
+            assert set(names[first:]) == {"public_attributes_of"}
 
 
 def test_run_experiment_requires_victims(worked_example):

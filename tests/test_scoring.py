@@ -1,7 +1,6 @@
 import random
 from dataclasses import fields
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +26,7 @@ from osnrecon import (
     rank_guesses,
     recover_friends,
     score_candidates,
+    two_hop_nodes,
 )
 
 from helpers import (
@@ -64,8 +64,7 @@ def pool_graph(shared_counts: list[int]) -> FriendshipGraph:
 
 def info_of(attrs):
     """The information score of one candidate showing ``attrs``."""
-    oracle = SimpleNamespace(public_attributes_of=lambda node: attrs)
-    [score] = score_candidates(pool_graph([2]), table_rates(), oracle)
+    [score] = score_candidates(pool_graph([2]), table_rates(), {"c00": attrs})
     return score.info_score
 
 
@@ -88,7 +87,7 @@ def test_info_score_value_missing_from_tables():
 
 
 def test_info_score_private_candidate_is_zero():
-    assert info_of(None) == Fraction(0)
+    assert info_of({}) == Fraction(0)
 
 
 def as_fields(value):
@@ -116,9 +115,9 @@ THRESHOLD = st.sampled_from([Fraction(0), Fraction(1)]) | RATE
 @given(
     records=st.lists(ATTRS, min_size=1, max_size=8),
     extra=st.dictionaries(st.sampled_from(FEATURES), st.dictionaries(LABELS, RATE)),
-    # Private candidates (None) and labels the friends never show.
+    # Private candidates ({}) and labels the friends never show.
     pool=st.lists(
-        st.tuples(st.none() | st.dictionaries(st.sampled_from(FEATURES), LABELS | st.just("oslo")),
+        st.tuples(st.dictionaries(st.sampled_from(FEATURES), LABELS | st.just("oslo")),
                   st.integers(0, 4)),
         max_size=6,
     ),
@@ -145,9 +144,8 @@ def test_integer_kernel_equals_fraction_formulas(
     assert typed(rank_guesses(rates)) == typed(brute_rankings(rates))
     graph = pool_graph([shared for _, shared in pool])
     by_node = {f"c{i:02d}": entry for i, entry in enumerate(pool)}
-    oracle = SimpleNamespace(public_attributes_of=lambda node: by_node[node][0])
     thresholds = Thresholds(best_info, best_edges)
-    scored = score_candidates(graph, rates, oracle)
+    scored = score_candidates(graph, rates, {c: attrs for c, (attrs, _) in by_node.items()})
     assert [as_fields(s) for s in scored] == [
         as_fields(s) for s in brute_scores(by_node, rates)
     ]
@@ -160,8 +158,8 @@ def full_pipeline_scores(snapshot):
     view = PublicView(snapshot)
     found = recover_friends(VICTIM, view)
     graph = prune_single_edge(build_graph(collect_2hop(VICTIM, view)))
-    rates = extract_rates(collect_friend_records(found, view))
-    return score_candidates(graph, rates, view)
+    rates = extract_rates(collect_friend_records(found.friends, view))
+    return score_candidates(graph, rates, collect_friend_records(two_hop_nodes(graph), view))
 
 
 def test_worked_example_scores(worked_example):
