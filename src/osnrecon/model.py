@@ -377,6 +377,10 @@ def load_snapshot(document: dict) -> OsnSnapshot:
     A picture entry whose fields have their JSON types is built inline. Any
     other is read again by ``_picture``, which checks its fields in order
     and words the first fault.
+
+    Each entry is taken off the document as it is converted, so the document
+    shrinks as the snapshot grows. A load empties the document's ``pictures``
+    and ``users`` lists; a failed one leaves them partly taken.
     """
     if not isinstance(document, dict):
         raise SchemaError("snapshot document must be an object")
@@ -387,7 +391,9 @@ def load_snapshot(document: dict) -> OsnSnapshot:
 
     seen: set[str] = set()
     owned: dict[str, list[Picture]] = {}
-    for pdoc in picture_docs:
+    picture_docs.reverse()  # so that pop() takes the entries in order
+    while picture_docs:
+        pdoc = picture_docs.pop()
         if not isinstance(pdoc, dict):
             raise SchemaError("picture entry must be an object")
         try:
@@ -403,7 +409,9 @@ def load_snapshot(document: dict) -> OsnSnapshot:
         owned.setdefault(owner, []).append(picture)
 
     users: dict[str, UserProfile] = {}
-    for udoc in user_docs:
+    user_docs.reverse()
+    while user_docs:
+        udoc = user_docs.pop()
         if not isinstance(udoc, dict):
             raise SchemaError("user entry must be an object")
         uid = _require(udoc, "id", str, "user")

@@ -1,5 +1,7 @@
+import copy
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -26,7 +28,7 @@ from osnrecon import (
 )
 
 import osnrecon.model
-from osnrecon.model import Rendered, json_text
+from osnrecon.model import Rendered, json_text, read_json
 
 from helpers import reference, reference_load, worked_example_document
 
@@ -476,6 +478,30 @@ def test_load_snapshot_file_round_trips_generated_text(tmp_path):
     assert load_snapshot_file(path).to_json() == text
 
 
+def test_load_snapshot_releases_its_document(tmp_path):
+    path = tmp_path / "snapshot.json"
+    config = GeneratorConfig(n_users=1500, mean_degree=20)
+    path.write_text(generate_synthetic(config, seed=1).to_json(), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        document = read_json(path)
+        read = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        snap = load_snapshot(document)
+        peak = tracemalloc.get_traced_memory()[1]
+        left = len(document["users"]), len(document["pictures"])
+        del document
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(snap.users) == 1500
+    # The document is released as the snapshot is built, so the two never
+    # coexist in full.
+    assert peak - start < (retained - start) + (read - start) / 2
+    assert left == (0, 0)
+
+
 FAULTS = ("none", "asymmetric", "unknown friend", "self-friend", "empty id",
           "unknown engager", "non-string id", "unhashable id", "unsorted engagers",
           "duplicate engagers", "blank label")
@@ -558,7 +584,9 @@ def _outcome(load, document):
 @settings(max_examples=400, deadline=None)
 @given(planted_faults())
 def test_load_snapshot_matches_the_ordered_walk(document):
-    assert _outcome(load_snapshot, document) == _outcome(reference_load, document)
+    # load_snapshot empties the document's lists, so it gets a copy.
+    loaded = _outcome(load_snapshot, copy.deepcopy(document))
+    assert loaded == _outcome(reference_load, document)
 
 
 json_scalars = (
