@@ -20,6 +20,11 @@ metric, the change's median in the old file and in the new one, and the
 difference in percent of the old median:
 
     python3 perf/record.py --label NAME --parent REV --seeds 101 --compare BENCH_pr20.json
+
+Last it prints, per workload and metric, the inputs of the acceptance
+rule for a claimed gain: the pairs the change won out of all pairs, and
+whether the change's median lies below, inside or above the parent's
+quartiles.
 """
 
 from __future__ import annotations
@@ -125,6 +130,26 @@ def _compare(old: dict, new: dict) -> list[str]:
     return lines
 
 
+def _acceptance(record: dict) -> list[str]:
+    """One line per workload and metric: the change's wins out of all
+    pairs, and where its median lies against the parent's quartiles."""
+    lines = []
+    for workload, entry in record["workloads"].items():
+        for metric, summary in entry["summary"].items():
+            parent, median = summary["parent"], summary["change"]["median"]
+            if median < parent["q1"]:
+                where = "below"
+            elif median > parent["q3"]:
+                where = "above"
+            else:
+                where = "inside"
+            lines.append(f"{workload:<8} {metric:<20} won {summary['change_wins']}/"
+                         f"{summary['pairs']}, median {median:.4g} {where} the parent's "
+                         f"quartiles [{parent['q1']:.4g}, {parent['q3']:.4g}] "
+                         f"({summary['better']} is better)")
+    return lines
+
+
 def main(argv=None) -> int:
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -178,6 +203,8 @@ def main(argv=None) -> int:
     if earlier is not None:
         print(f"change medians: {args.compare} -> {out.name}")
         print("\n".join(_compare(earlier, record)))
+    print("pairs won and the change's median against the parent's quartiles:")
+    print("\n".join(_acceptance(record)))
     correct = all(
         run[side]["correct"]
         for name in workloads for run in runs[name] for side in ("parent", "change")

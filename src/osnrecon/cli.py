@@ -144,6 +144,21 @@ def _victim_files(result, victim_doc: dict) -> dict[str, str]:
     return files
 
 
+class _SpooledText(Rendered):
+    """A rendered text kept UTF-8 encoded in a binary file at a byte
+    offset, read back each time ``text`` is read."""
+
+    __slots__ = ("_file", "_offset", "_size")
+
+    def __init__(self, file, offset: int, size: int) -> None:
+        self._file, self._offset, self._size = file, offset, size
+
+    @property
+    def text(self) -> str:
+        self._file.seek(self._offset)
+        return self._file.read(self._size).decode("utf-8")
+
+
 def cmd_run(args) -> int:
     # An id names the directory of its victim's artifacts: exactly one
     # directory inside the output directory, and not the aggregate's path.
@@ -164,23 +179,29 @@ def cmd_run(args) -> int:
     out_dir = _default_out(args)
     # Victims are rendered as they finish and written only once all are
     # done, so a run that fails part-way writes nothing. Until then their
-    # texts wait in one unnamed temporary file, not in memory. (Writing the
-    # files between victims instead slows the victims after each write.)
-    files: list[tuple[Path, int]] = []  # path and length in characters, in spool order
-    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+    # texts wait, UTF-8 encoded, in one unnamed temporary file, not in
+    # memory; aggregate.json reads each report back from it as it places
+    # it. (Writing the files between victims instead slows the victims
+    # after each write.)
+    files: list[tuple[Path, tuple[str, ...], list[int]]] = []  # sizes in bytes, in spool order
+    with tempfile.TemporaryFile() as spool:
         def render(result, victim_doc: dict) -> Rendered:
             victim_files = _victim_files(result, victim_doc)
-            victim_dir = out_dir / result.victim
-            files.extend((victim_dir / name, len(text)) for name, text in victim_files.items())
-            spool.write("".join(victim_files.values()))
-            # aggregate.json lists the victim's report.json text, not a second rendering
-            return Rendered(victim_files["report.json"])
+            data = [text.encode("utf-8") for text in victim_files.values()]
+            sizes = [len(item) for item in data]
+            files.append((out_dir / result.victim, tuple(victim_files), sizes))
+            offset = spool.tell()
+            spool.write(b"".join(data))
+            # aggregate.json lists the victim's report.json text, the first
+            # file spooled, not a second rendering
+            return _SpooledText(spool, offset, sizes[0])
 
         report = run_experiment(snapshot, args.victim, thresholds, config, on_victim=render)
         spool.seek(0)
-        for path, length in files:
-            write_atomic(path, spool.read(length))
-    write_atomic(out_dir / "aggregate.json", json_text(report))
+        for victim_dir, names, sizes in files:
+            for name, size in zip(names, sizes):
+                write_atomic(victim_dir / name, spool.read(size).decode("utf-8"))
+        write_atomic(out_dir / "aggregate.json", json_text(report))
     print(f"wrote report for {len(report['victims'])} victim(s) to {out_dir}")
     return 0
 

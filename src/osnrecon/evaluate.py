@@ -232,7 +232,8 @@ def run_experiment(
     and then dropped. The report lists what ``on_victim`` returns for
     each victim (the entry itself when there is no ``on_victim``); only
     those, the pooled confusion matrix and the attribute rankings carry
-    over to the aggregate. The aggregate confusion matrix is reported
+    over to the aggregate. A ``model.Rendered`` whose text is read back
+    from a file when rendered keeps the entries out of memory. The aggregate confusion matrix is reported
     three ways: exact cell-wise means over evaluated victims, the same
     rounded to integers, and pooled sums.
     """

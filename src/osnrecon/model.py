@@ -222,7 +222,9 @@ class Rendered:
     """Text that ``json_text`` returned, to be placed in a larger
     document as it is, indented to where it sits. ``ensure_ascii``
     output has no raw newline inside a string, so every newline in the
-    text is a line break."""
+    text is a line break. ``json_text`` reads ``text`` once, when it
+    reaches the value, so a subclass may make it a property that fetches
+    the text from where it is kept."""
 
     __slots__ = ("text",)
 
@@ -266,7 +268,7 @@ def _items(prefixes, values, newline: str, out: list[str]) -> None:
             out.append(prefix + ("true" if value else "false"))
         elif value is None:
             out.append(prefix + "null")
-        elif kind is Rendered:
+        elif isinstance(value, Rendered):
             out.append(prefix)
             out.append(value.text[:-1].replace("\n", newline))
         else:

@@ -164,6 +164,38 @@ def test_run_holds_no_victim_files_in_memory(tmp_path, capsys):
     assert peak < held
 
 
+def test_run_holds_no_reports_until_the_aggregate(tmp_path, capsys, monkeypatch):
+    # Keeping each victim's report.json text for aggregate.json would hold
+    # every report when the aggregate is rendered.
+    out = tmp_path / "out"
+    argv = _run_all_argv(_generate(tmp_path, 60, 20, 3), out)
+    traced = {}
+    real_run_experiment, real_json_text = cli.run_experiment, cli.json_text
+
+    def run_experiment(*args, **kwargs):
+        traced["start"] = tracemalloc.get_traced_memory()[0]
+        traced["report"] = report = real_run_experiment(*args, **kwargs)
+        return report
+
+    def json_text(document):
+        if document is traced.get("report"):
+            traced["aggregate"] = tracemalloc.get_traced_memory()[0]
+        return real_json_text(document)
+
+    monkeypatch.setattr(cli, "run_experiment", run_experiment)
+    monkeypatch.setattr(cli, "json_text", json_text)
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    reports = sum(path.stat().st_size for path in out.glob("*/report.json"))
+    assert len(list(out.glob("*/report.json"))) == 60
+    assert traced["aggregate"] - traced["start"] < reports / 2
+
+
 @pytest.fixture
 def spool_dir(tmp_path, monkeypatch):
     """An empty directory that ``tempfile`` puts its files in."""
@@ -192,9 +224,9 @@ def test_run_leaves_no_spool_and_no_out_after_failure(tmp_path, capsys, spool_di
 
 
 def test_run_writes_non_ascii_files_as_rendered(tmp_path, capsys, spool_dir, monkeypatch):
-    # The spool is read back by lengths in characters: a file whose text
-    # holds multi-byte characters must come back whole, and so must the
-    # files after it.
+    # The spool is read back by sizes and offsets in bytes: a file whose
+    # text holds multi-byte characters must come back whole, and so must
+    # the files and the reports for aggregate.json after it.
     snap = _generate(tmp_path, 30, 6, 1)
 
     def accented(value):
@@ -225,6 +257,10 @@ def test_run_writes_non_ascii_files_as_rendered(tmp_path, capsys, spool_dir, mon
     assert any(not text.isascii() for _, name, text in texts if name == "friends.csv")
     for victim, name, text in texts:
         assert (out / victim / name).read_bytes() == text.encode("utf-8")
+    entries = json.loads((out / "aggregate.json").read_text(encoding="utf-8"))["victims"]
+    assert [entry["victim"] for entry in entries] == sorted(rendered)
+    for entry in entries:
+        assert entry == json.loads(rendered[entry["victim"]]["report.json"])
     assert not any(spool_dir.iterdir())
 
 
