@@ -233,9 +233,10 @@ def run_experiment(
     each victim (the entry itself when there is no ``on_victim``); only
     those, the pooled confusion matrix and the attribute rankings carry
     over to the aggregate. A ``model.Rendered`` whose text is read back
-    from a file when rendered keeps the entries out of memory. The aggregate confusion matrix is reported
-    three ways: exact cell-wise means over evaluated victims, the same
-    rounded to integers, and pooled sums.
+    from a file when rendered keeps the entries out of memory. The
+    aggregate confusion matrix is reported three ways: exact cell-wise
+    means over evaluated victims, the same rounded to integers, and
+    pooled sums.
     """
     if not victims:
         raise EvaluationError("no victims given")
