@@ -477,6 +477,13 @@ def load_snapshot_file(path) -> OsnSnapshot:
 class GeneratorConfig:
     """Parameters of the synthetic snapshot generator.
 
+    Friendships are a uniform G(n, m) with m = round(n * mean_degree / 2)
+    (every pair once mean_degree >= n - 1), drawn by rejection straight
+    into each user's friend set; a self-pair or a repeated pair is
+    skipped. Each endpoint is drawn as ``randrange(n)`` draws it, so a
+    same-seed snapshot is the bytes that two ``randrange`` calls per
+    attempt give.
+
     Engagement follows a two-probability Bernoulli model: each friend of
     a picture's owner likes (and, independently, comments) the picture
     with probability ``p_friend``; every non-friend does the same with
@@ -548,19 +555,33 @@ class GeneratorConfig:
         return cls(**doc)
 
 
-def _random_edges(n: int, mean_degree: float, rng: random.Random) -> set[tuple[int, int]]:
+def _draw_friendships(ids: list[str], mean_degree: float, rng: random.Random) -> dict[str, set[str]]:
+    """Friend sets of a uniform G(n, m) over ``ids`` (see ``GeneratorConfig``).
+
+    Each endpoint is ``rng.randrange(n)`` inlined: ``getrandbits`` of n's
+    bit length, drawn again while ``>= n``."""
+    n = len(ids)
     max_edges = n * (n - 1) // 2
     # Compared before rounding: a huge mean degree makes the product infinite.
     target = max_edges if mean_degree >= n - 1 else round(n * mean_degree / 2)
-    edges: set[tuple[int, int]] = set()
-    attempts = 0
-    while len(edges) < target and attempts < 50 * max_edges + 100:
-        i = rng.randrange(n)
-        j = rng.randrange(n)
+    adjacency: dict[str, set[str]] = {uid: set() for uid in ids}
+    friends = list(adjacency.values())
+    bits = rng.getrandbits
+    k = n.bit_length()
+    drawn = attempts = 0
+    while drawn < target and attempts < 50 * max_edges + 100:
+        i = bits(k)
+        while i >= n:
+            i = bits(k)
+        j = bits(k)
+        while j >= n:
+            j = bits(k)
         attempts += 1
-        if i != j:
-            edges.add((min(i, j), max(i, j)))
-    return edges
+        if i != j and ids[j] not in friends[i]:
+            friends[i].add(ids[j])
+            friends[j].add(ids[i])
+            drawn += 1
+    return adjacency
 
 
 def _bernoulli_subset(items: list[str], p: float, rng: random.Random) -> list[str]:
@@ -674,11 +695,7 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> OsnSnapshot:
     width = max(3, len(str(n - 1)))
     ids = [f"u{idx:0{width}d}" for idx in range(n)]
 
-    adjacency: dict[str, set[str]] = {uid: set() for uid in ids}
-    for i, j in _random_edges(n, config.mean_degree, rng):
-        adjacency[ids[i]].add(ids[j])
-        adjacency[ids[j]].add(ids[i])
-
+    adjacency = _draw_friendships(ids, config.mean_degree, rng)
     attributes = _assign_attributes(ids, adjacency, config, rng)
     return _synthesize_activity(ids, adjacency, attributes, config, rng)
 

@@ -266,6 +266,28 @@ def brute_scores(pool, rates, thresholds=None) -> list[CandidateScore]:
     return scores
 
 
+def reference_friendships(ids: list[str], mean_degree: float, rng) -> dict[str, set[str]]:
+    """A plain G(n, m) over ``ids``: two ``rng.randrange(n)`` calls per
+    attempt, a self-pair or a repeated pair skipped, with the generator's
+    edge target and attempt limit."""
+    n = len(ids)
+    max_edges = n * (n - 1) // 2
+    target = max_edges if mean_degree >= n - 1 else round(n * mean_degree / 2)
+    pairs: set[tuple[int, int]] = set()
+    attempts = 0
+    while len(pairs) < target and attempts < 50 * max_edges + 100:
+        i = rng.randrange(n)
+        j = rng.randrange(n)
+        attempts += 1
+        if i != j:
+            pairs.add((min(i, j), max(i, j)))
+    friends: dict[str, set[str]] = {uid: set() for uid in ids}
+    for i, j in pairs:
+        friends[ids[i]].add(ids[j])
+        friends[ids[j]].add(ids[i])
+    return friends
+
+
 def engaged_users(snapshot: OsnSnapshot, owner: str) -> set[str]:
     """Everyone who liked or commented one of ``owner``'s public pictures."""
     users: set[str] = set()

@@ -30,7 +30,12 @@ from osnrecon import (
 import osnrecon.model
 from osnrecon.model import Rendered, json_text, read_json
 
-from helpers import reference, reference_load, worked_example_document
+from helpers import (
+    reference,
+    reference_friendships,
+    reference_load,
+    worked_example_document,
+)
 
 
 def minimal_document():
@@ -297,6 +302,27 @@ class TestGenerator:
         config = GeneratorConfig(n_users=30, p_stranger=p_stranger, p_picture_public=1.0)
         generate_synthetic(config, seed=1).validate()
 
+    @pytest.mark.parametrize("n", [2, 3, 32, 33, 60, 1025])
+    def test_friendships_drawn_as_randrange_draws_them(self, n):
+        ids = [f"u{idx}" for idx in range(n)]
+        everyone = set(ids)
+        # A complete graph takes about n * n * ln(n) attempts: about 7
+        # million at n = 1025, so that n stays sparse.
+        dense = (n - 1, 2 * n) if n < 1000 else ()
+        for mean_degree in (0, 1.5, 6, *dense):
+            for seed in range(3):
+                expected_rng = random.Random(seed)
+                expected = reference_friendships(ids, mean_degree, expected_rng)
+                rng = random.Random(seed)
+                friends = osnrecon.model._draw_friendships(ids, mean_degree, rng)
+                assert friends == expected
+                # Equal states: the stream was consumed the same way.
+                assert rng.getstate() == expected_rng.getstate()
+                if mean_degree == 0:
+                    assert not any(friends.values())
+                elif mean_degree >= n - 1:
+                    assert all(friends[uid] == everyone - {uid} for uid in ids)
+
     @pytest.mark.parametrize("n", [200, 2000])
     def test_draws_linear_in_users_and_edges(self, monkeypatch, n):
         # With no stranger engagement the generator's output is O(n + m),
@@ -309,7 +335,8 @@ class TestGenerator:
                 counted.append(None)
                 return super().random()
 
-            # Defined so that randrange and choice keep their own stream.
+            # Defined so that choice and the friendship draws keep their
+            # own stream: both draw through getrandbits.
             def getrandbits(self, k):
                 counted.append(None)
                 return super().getrandbits(k)
