@@ -165,7 +165,6 @@ def cmd_run(args) -> int:
     for victim in args.victim:
         if "/" in victim or victim in ("", ".", "..", "aggregate.json", "aggregate.json.tmp"):
             raise UsageError(f"victim id {victim!r} cannot name an output directory")
-    snapshot = load_snapshot_file(args.snapshot)
     # str() gives back the decimal as typed (1e-07 -> 1/10000000), not the
     # exact binary value of the float.
     thresholds = Thresholds(
@@ -196,7 +195,10 @@ def cmd_run(args) -> int:
             # file spooled, not a second rendering
             return _SpooledText(spool, offset, sizes[0])
 
-        report = run_experiment(snapshot, args.victim, thresholds, config, on_victim=render)
+        # Passed straight in, the snapshot is freed before aggregate.json is rendered.
+        report = run_experiment(
+            load_snapshot_file(args.snapshot), args.victim, thresholds, config, on_victim=render
+        )
         spool.seek(0)
         for victim_dir, names, sizes in files:
             for name, size in zip(names, sizes):

@@ -15,7 +15,6 @@ ROLE_COLORS = {
     Role.ONE_HOP: "mediumpurple",
     Role.TWO_HOP_RELEVANT: "orange",
     Role.TWO_HOP_SINGLE_EDGE: "grey",
-    Role.COMMON_FRIEND: "lightblue",
 }
 
 

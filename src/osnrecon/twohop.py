@@ -10,8 +10,9 @@ The survey recovers the victim's friends, then re-runs recovery on each
 of them and maps the mutual friends of every (friend, friend-of-friend)
 pair as ``mutuals.json`` writes them: friend -> friend-of-friend ->
 common friends. The graph assembler turns the survey into a simple
-undirected graph with role-labelled nodes; single-edge pruning drops
-2-hop ids that share only one friend with the target.
+undirected graph in which every id other than the victim and its
+recovered friends is 2-hop, whichever pair named it; single-edge
+pruning drops 2-hop ids that share only one friend with the target.
 
 Each fact is paid for once per victim. ``(b, a)`` reuses the mutual
 friends of ``(a, b)``, and recovery on a friend ``t`` asks no friendship
@@ -39,7 +40,6 @@ class Role(str, Enum):
     ONE_HOP = "one_hop"
     TWO_HOP_RELEVANT = "two_hop_relevant"
     TWO_HOP_SINGLE_EDGE = "two_hop_single_edge"
-    COMMON_FRIEND = "common_friend"
 
 
 @dataclass(frozen=True)
@@ -143,37 +143,33 @@ def build_graph(survey: TwoHopSurvey) -> FriendshipGraph:
     oracle. Edges are inserted even when both endpoints already exist,
     so the graph carries every fact the survey established. Edges go in
     set-at-a-time and one side only, then one pass makes ``adj``
-    symmetric. A node keeps the role it first gets in the survey's
-    (sorted) pair order; a 2-hop node is TWO_HOP_SINGLE_EDGE exactly
-    when its shared-edge count is 1.
+    symmetric. Roles follow from the graph alone: besides the victim and
+    its recovered friends, every node is 2-hop, TWO_HOP_SINGLE_EDGE
+    exactly when its shared-edge count is 1.
     """
     victim = survey.recovered.target
     one_hop = survey.recovered.friends
-    roles = {victim: Role.VICTIM, **dict.fromkeys(one_hop, Role.ONE_HOP)}
-    adj: dict[str, set[str]] = {victim: set(one_hop)}
-    for friend in one_hop:
-        adj[friend] = {victim}
-    relevant, common_friend = Role.TWO_HOP_RELEVANT, Role.COMMON_FRIEND
+    adj = {victim: set(one_hop), **{friend: {victim} for friend in one_hop}}
     for friend, row in survey.mutuals.items():
         for second, commons in row.items():
-            if second not in roles:
-                roles[second] = relevant
-                adj[second] = set(commons)
-            else:
+            if second in adj:
                 adj[second] |= commons
-            # difference(roles) probes the common ids, not every key of roles
-            if new := commons.difference(roles):
-                roles.update(dict.fromkeys(new, common_friend))
-                adj.update({common: set() for common in new})
+            else:
+                adj[second] = set(commons)
             adj[friend] |= commons
         adj[friend].update(row)
-    for a, near in adj.items():  # add the missing side of each edge
+    for a, near in list(adj.items()):  # add the missing side of each edge
         for b in near:
-            adj[b].add(a)
+            if b in adj:
+                adj[b].add(a)
+            else:  # a common friend, so far only on the sides of its pair
+                adj[b] = {a}
+    roles = {victim: Role.VICTIM, **dict.fromkeys(one_hop, Role.ONE_HOP)}
     graph = FriendshipGraph(roles=roles, adj=adj, one_hop=one_hop)
-    for node, role in roles.items():
-        if role is relevant and shared_edge_count(graph, node) == 1:
-            roles[node] = Role.TWO_HOP_SINGLE_EDGE
+    for node in adj:
+        if node not in roles:
+            single = shared_edge_count(graph, node) == 1
+            roles[node] = Role.TWO_HOP_SINGLE_EDGE if single else Role.TWO_HOP_RELEVANT
     return graph
 
 
@@ -186,11 +182,12 @@ def shared_edge_count(graph: FriendshipGraph, node: str) -> int:
 
 
 def two_hop_nodes(graph: FriendshipGraph) -> list[str]:
-    return sorted(
+    """The 2-hop nodes in no particular order."""
+    return [
         node
         for node, role in graph.roles.items()
         if role in (Role.TWO_HOP_RELEVANT, Role.TWO_HOP_SINGLE_EDGE)
-    )
+    ]
 
 
 def prune_single_edge(graph: FriendshipGraph) -> FriendshipGraph:

@@ -153,40 +153,56 @@ def brute_shared_edges(snapshot: OsnSnapshot, one_hop: set[str], node: str) -> i
     return len(set(snapshot.users[node].friends) & one_hop)
 
 
+def brute_survey_edges(snapshot: OsnSnapshot, victim: str) -> tuple[set[str], set[frozenset]]:
+    """Independent survey oracle over ground truth: the victim's recovered
+    friends (friends that engaged its public pictures) and every edge the
+    survey observes. Those are victim-f for each recovered friend f, f-s
+    for each friend s of f other than the victim that engaged f's public
+    pictures, and f-c and c-s for each common friend c of f and s."""
+    friends = set(snapshot.users[victim].friends) & engaged_users(snapshot, victim)
+    edges = {frozenset((victim, f)) for f in friends}
+    for f in friends:
+        for s in set(snapshot.users[f].friends) & engaged_users(snapshot, f) - {victim}:
+            edges.add(frozenset((f, s)))
+            for c in brute_mutual_friends(snapshot, f, s):
+                edges |= {frozenset((f, c)), frozenset((c, s))}
+    return friends, edges
+
+
 def reference_graph(survey: TwoHopSurvey) -> SimpleNamespace:
     """Independent 2-hop graph builder: inserts one undirected edge at a
-    time (victim-friend, friend-second, friend-common, common-second) and
-    gives each node the first role it meets in survey order. A 2-hop node
-    whose brute-force count of recovered-friend neighbours is 1 is
-    TWO_HOP_SINGLE_EDGE. Returns ``roles`` and ``adj``."""
+    time (victim-friend, friend-second, friend-common, common-second).
+    The victim is VICTIM and each recovered friend ONE_HOP; every other
+    node is TWO_HOP_SINGLE_EDGE when its brute-force count of
+    recovered-friend neighbours is 1, TWO_HOP_RELEVANT otherwise.
+    Returns ``roles`` and ``adj``."""
     victim = survey.recovered.target
-    roles: dict[str, Role] = {victim: Role.VICTIM}
+    friends = survey.recovered.friends
     adj: dict[str, set[str]] = {victim: set()}
 
-    def meet(node: str, role: Role) -> None:
-        if node not in roles:
-            roles[node] = role
-        adj.setdefault(node, set())
-
     def edge(a: str, b: str) -> None:
-        adj[a].add(b)
-        adj[b].add(a)
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
 
-    for friend in sorted(survey.recovered.friends):
-        meet(friend, Role.ONE_HOP)
+    for friend in sorted(friends):
         edge(victim, friend)
     for friend, row in survey.mutuals.items():
         for second, commons in row.items():
-            meet(second, Role.TWO_HOP_RELEVANT)
             edge(friend, second)
             for common in sorted(commons):
-                meet(common, Role.COMMON_FRIEND)
                 edge(friend, common)
                 edge(common, second)
-    for node, role in roles.items():
-        shared = sum(1 for near in adj[node] if near in survey.recovered.friends)
-        if role == Role.TWO_HOP_RELEVANT and shared == 1:
+    roles: dict[str, Role] = {}
+    for node in adj:
+        shared = sum(1 for near in adj[node] if near in friends)
+        if node == victim:
+            roles[node] = Role.VICTIM
+        elif node in friends:
+            roles[node] = Role.ONE_HOP
+        elif shared == 1:
             roles[node] = Role.TWO_HOP_SINGLE_EDGE
+        else:
+            roles[node] = Role.TWO_HOP_RELEVANT
     return SimpleNamespace(roles=roles, adj=adj)
 
 

@@ -26,12 +26,12 @@ ATTRS = [
 
 GENERATE_SHA256 = "fee8f218c3037a2b77756f6cbda5a379b155575f1fc103f244fe4b0d6d2f1d2f"
 INGEST_SHA256 = "51fd63b8d19a801a5d8ddec0ae11be74e8792674334024765144aa1a3bc605af"
-RUN_TREE_SHA256 = "7a4008f945ec3d5e27be83bdedde867b2cefeda5d09a467df08f354f98ac4432"
-OPTION_TREE_SHA256 = "f396b1272536a77189c10b25feb80e2e2820069d823f2cad75bc54d8e94a0e79"
-CALIBRATE_SHA256 = "66cd1ae77bb729d582cc404edea849407b862ba9d662fcee73b08552b77db740"
+RUN_TREE_SHA256 = "766bda78d40e0a419c435596d008bd464ef0bd8dbd371d9416c3fd2a372953de"
+OPTION_TREE_SHA256 = "3daebb5f3f851e8c972911205450f6920f58d00a3c9598278cd94f2590e3d2f7"
+CALIBRATE_SHA256 = "4208e51f75a4d4dae3250f85e501f43cb1130bf106be4029c68cc94b6b50cc1c"
 EXPORT_DOT_SHA256 = {
-    "pruned": "74032a11d130f2e9e4c05cddff746ab0b2728a13c0473ee0eafed5f073021d57",
-    "unpruned": "c1af04d31ab7031c260511b5c2de41c8041cf4576c041ed31446d884ea5c7c48",
+    "pruned": "1836cae48f3fee21f37784dcc4838f5503722312afd42728c87539360564bd91",
+    "unpruned": "e628ec942b8642babe4a839357ac248e9bae0724bdd034e8d6e3c2086110da66",
 }
 
 
@@ -89,7 +89,7 @@ def test_run_artifact_tree_with_options(generated, tmp_path):
     out = tmp_path / "out"
     _run_every_user(generated, out, OPTION_ARGS)
     aggregate = json.loads((out / "aggregate.json").read_text())["aggregate"]
-    assert (aggregate["victims_evaluated"], aggregate["victims_skipped"]) == (29, 31)
+    assert (aggregate["victims_evaluated"], aggregate["victims_skipped"]) == (26, 34)
     reports = [json.loads(path.read_text()) for path in out.glob("*/report.json")]
     evaluated = [report for report in reports if not report["skipped"]]
     # Every evaluated victim scores a single-edge candidate that pruning
@@ -112,7 +112,7 @@ def test_calibrate_output(generated, capsys):
     victims = [arg for uid in _users(generated) for arg in ("--victim", uid)]
     assert main(["calibrate", "--snapshot", str(generated), *victims]) == 0
     printed = capsys.readouterr().out
-    assert json.loads(printed)["labeled_candidates"] == 195
+    assert json.loads(printed)["labeled_candidates"] == 276
     assert _sha256(printed.encode("utf-8")) == CALIBRATE_SHA256
 
 

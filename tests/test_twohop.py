@@ -1,4 +1,6 @@
+import json
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -7,11 +9,13 @@ from hypothesis import strategies as st
 from osnrecon import (
     GeneratorConfig,
     PublicView,
+    Thresholds,
     Role,
     FriendshipGraph,
     FriendsFound,
     build_graph,
     collect_2hop,
+    evaluate_victim,
     generate_synthetic,
     graph_to_dot,
     load_snapshot,
@@ -26,6 +30,7 @@ from helpers import (
     VICTIM,
     brute_mutual_friends,
     brute_shared_edges,
+    brute_survey_edges,
     engaged_users,
     reference_dot,
     reference_graph,
@@ -290,9 +295,53 @@ def test_collect_matches_brute_force_on_corpus(p_friend):
             if seconds:
                 expected[f] = {s: brute_mutual_friends(snap, f, s) for s in seconds}
         assert survey.mutuals == expected
-        # build_graph's first-role assignment follows this order.
+        # mutuals.json lists the pairs in this order.
         assert list(survey.mutuals) == list(expected)
         assert all(list(survey.mutuals[f]) == list(expected[f]) for f in expected)
+
+
+@pytest.mark.parametrize("p_friend", [1.0, 0.5])
+def test_pool_is_every_surveyed_id_with_two_shared_edges(p_friend):
+    # Many ids are first named as a common friend of an earlier pair; they
+    # are scored like every other friend of a friend.
+    config = replace(full_engagement_config(n=40, degree=6.0), p_friend=p_friend)
+    snap = generate_synthetic(config, seed=21)
+    zero = Thresholds(Fraction(0), Fraction(0))
+    for victim in sorted(snap.users)[:8]:
+        friends, edges = brute_survey_edges(snap, victim)
+        shared = {
+            node: sum(frozenset((node, f)) in edges for f in friends)
+            for node in set().union(*edges) - friends - {victim}
+        }
+        expected = {node: count for node, count in shared.items() if count >= 2}
+        scores = evaluate_victim(snap, victim, zero).scores
+        assert {s.candidate: s.shared_edges for s in scores} == expected
+
+
+def _relabelled(snapshot, mapping):
+    """``snapshot`` with every user id ``u`` renamed ``mapping[u]``."""
+    document = json.loads(snapshot.to_json())
+    for user in document["users"]:
+        user["id"] = mapping[user["id"]]
+        user["friends"] = [mapping[f] for f in user["friends"]]
+    for picture in document["pictures"]:
+        picture["owner"] = mapping[picture["owner"]]
+        for key in ("likers", "commenters"):
+            picture[key] = [mapping[u] for u in picture[key]]
+    return load_snapshot(document)
+
+
+def test_roles_do_not_depend_on_id_order():
+    snap = generate_synthetic(full_engagement_config(n=40, degree=6.0), seed=21)
+    ids = sorted(snap.users)
+    mapping = dict(zip(ids, reversed(ids)))  # reverses the order of the ids
+    mirrored = _relabelled(snap, mapping)
+    for victim in ids[:8]:
+        graph = build_graph(collect_2hop(victim, PublicView(snap)))
+        other = build_graph(collect_2hop(mapping[victim], PublicView(mirrored)))
+        assert {mapping[n]: role for n, role in graph.roles.items()} == other.roles
+        pool = two_hop_nodes(prune_single_edge(graph))
+        assert {mapping[n] for n in pool} == set(two_hop_nodes(prune_single_edge(other)))
 
 
 def test_build_star_graph():
