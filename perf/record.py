@@ -6,10 +6,13 @@ Usage (from the repository root):
 
 For each seed and each workload in ``BENCHMARK.json``, this runs
 ``bench/run.py --trace 0`` once on the working tree and once on ``REV``,
-taking turns at running first. ``REV`` is exported with ``git archive``
-into a temporary directory outside the repository, so each side runs the
-benchmark from its own checkout and the repository's git state is left
-as it was. The result is written to ``BENCH_<NAME>.json`` at the
+taking turns at running first. Both sides run from a fresh copy in a
+temporary directory outside the repository, so they differ only in their
+files: ``REV`` is exported with ``git archive``, and the change is a copy
+of the files that ``git ls-files --cached --others --exclude-standard``
+names, as they are in the working tree. Each side runs the benchmark from
+its own copy, and the repository's git state is left as it was. The
+result is written to ``BENCH_<NAME>.json`` at the
 repository root: per workload and end-to-end metric, each side's median
 and quartiles over the seeds and the number of pairs the working tree
 won, followed by every run. The exit code is 0 only when every run
@@ -17,7 +20,9 @@ printed ``"correct": true``.
 
 With ``--compare BENCH_<old>.json`` it then prints, per workload and
 metric, the change's median in the old file and in the new one, and the
-difference in percent of the old median:
+difference in percent of the old median. That comparison is cross-run,
+not paired: the old file's runs used other seeds, at another time, so
+machine drift shows in it as well as code changes.
 
     python3 perf/record.py --label NAME --parent REV --seeds 101 --compare BENCH_pr20.json
 
@@ -34,6 +39,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -56,6 +62,23 @@ def _export(revision: str, destination: Path) -> None:
     archive = _git("archive", "--format=tar", revision)
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(destination, filter="data")
+
+
+def _copy_working_tree(destination: Path) -> int:
+    """Copy the files ``git ls-files --cached --others --exclude-standard``
+    names, as they are in the working tree: the tracked files and the
+    untracked ones that are not ignored. Returns how many were copied."""
+    names = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    copied = 0
+    for name in dict.fromkeys(filter(None, names.decode().split("\0"))):
+        source = ROOT / name
+        if not source.is_file():  # deleted from the working tree
+            continue
+        target = destination / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(source, target)
+        copied += 1
+    return copied
 
 
 def _bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -165,13 +188,13 @@ def main(argv=None) -> int:
 
     parent_sha = _git("rev-parse", "--verify", args.parent + "^{commit}").decode().strip()
     head_sha = _git("rev-parse", "HEAD").decode().strip()
-    dirty = bool(_git("status", "--porcelain", "--untracked-files=no").strip())
+    dirty = bool(_git("status", "--porcelain").strip())
     workloads = [w["name"] for w in declared["workloads"]]
     runs: dict[str, list[dict]] = {name: [] for name in workloads}
-    with tempfile.TemporaryDirectory(prefix="osnrecon-parent-") as tmp:
-        parent_tree = Path(tmp)
-        _export(parent_sha, parent_tree)
-        trees = {"parent": parent_tree, "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="osnrecon-record-") as tmp:
+        trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        _export(parent_sha, trees["parent"])
+        copied = _copy_working_tree(trees["change"])
         for index, seed in enumerate(args.seeds):
             order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
             for workload in workloads:
@@ -186,7 +209,11 @@ def main(argv=None) -> int:
     record = {
         "command": f"bench/run.py --seconds {args.seconds:g} --trace 0",
         "parent": f"{args.parent} ({parent_sha})",
-        "change": f"working tree at {head_sha}" + (" with uncommitted changes" if dirty else ""),
+        "change": (
+            f"a copy of the {copied} files `git ls-files --cached --others --exclude-standard`"
+            f" names in the working tree at {head_sha}"
+            + (", with uncommitted changes" if dirty else "")
+        ),
         "seeds": args.seeds,
         "order": "the side that runs first alternates from seed to seed",
         "python": platform.python_version(),
@@ -201,7 +228,8 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out}")
     if earlier is not None:
-        print(f"change medians: {args.compare} -> {out.name}")
+        print(f"cross-run, not paired (other seeds, another time): change medians "
+              f"{args.compare} -> {out.name}")
         print("\n".join(_compare(earlier, record)))
     print("pairs won and the change's median against the parent's quartiles:")
     print("\n".join(_acceptance(record)))

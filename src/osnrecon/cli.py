@@ -14,6 +14,7 @@ import io
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -32,6 +33,7 @@ from .model import (
     generate_synthetic,
     ingest_edge_list,
     json_text,
+    json_write,
     load_snapshot_file,
     read_json,
 )
@@ -43,17 +45,26 @@ class UsageError(Exception):
     pass
 
 
-def write_atomic(path: Path, text: str) -> None:
+@contextmanager
+def _atomic_file(path: Path):
+    """An open UTF-8 text handle on ``path``'s ``.tmp`` file, which
+    replaces ``path`` when the block ends, or is removed when it raises."""
     if not path.name:  # "" and "." name no file
         raise UsageError(f"{str(path)!r} names no file")
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8") as handle:
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_atomic(path: Path, text: str) -> None:
+    with _atomic_file(path) as handle:
+        handle.write(text)
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -179,9 +190,11 @@ def cmd_run(args) -> int:
     # Victims are rendered as they finish and written only once all are
     # done, so a run that fails part-way writes nothing. Until then their
     # texts wait, UTF-8 encoded, in one unnamed temporary file, not in
-    # memory; aggregate.json reads each report back from it as it places
-    # it. (Writing the files between victims instead slows the victims
-    # after each write.)
+    # memory. aggregate.json is streamed into its file piece by piece, and
+    # reads each report back from the spool as it writes it, so neither
+    # the reports nor the aggregate's text are ever held whole. (Writing
+    # the files between victims instead slows the victims after each
+    # write.)
     files: list[tuple[Path, tuple[str, ...], list[int]]] = []  # sizes in bytes, in spool order
     with tempfile.TemporaryFile() as spool:
         def render(result, victim_doc: dict) -> Rendered:
@@ -203,7 +216,8 @@ def cmd_run(args) -> int:
         for victim_dir, names, sizes in files:
             for name, size in zip(names, sizes):
                 write_atomic(victim_dir / name, spool.read(size).decode("utf-8"))
-        write_atomic(out_dir / "aggregate.json", json_text(report))
+        with _atomic_file(out_dir / "aggregate.json") as handle:
+            json_write(report, handle.write)
     print(f"wrote report for {len(report['victims'])} victim(s) to {out_dir}")
     return 0
 

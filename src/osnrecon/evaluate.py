@@ -226,7 +226,7 @@ def run_experiment(
     on_victim: Callable[[VictimResult, dict], object] | None = None,
 ) -> dict:
     """Evaluate each victim in sorted id order and return the report, as
-    values for ``model.json_text`` to render.
+    values for ``model.json_write`` to render.
 
     Each victim's result is handed to ``on_victim`` with its report entry
     and then dropped. The report lists what ``on_victim`` returns for

@@ -199,9 +199,12 @@ def _strings(ids, where: str, key: str) -> None:
         raise SchemaError(f"{where}: field {key!r} must be a list of strings")
 
 
-def json_text(document) -> str:
-    """``json.dumps(document, sort_keys=True, indent=2)`` plus a newline,
-    for pipeline values too: the one renderer of the JSON artifacts.
+def json_write(document, write) -> None:
+    """Write ``json.dumps(document, sort_keys=True, indent=2)`` plus a
+    newline, for pipeline values too, piece by piece through ``write``
+    (say, an open text file's ``write``): the one renderer of the JSON
+    artifacts. It never holds the whole text: each piece is one leaf, one
+    list of strings or one spliced text, with the prefix before it.
 
     A ``Fraction`` is written as ``{"exact": "n/d", "value": float}``, a
     ``frozenset`` as its sorted list, a dataclass as the object of its
@@ -212,19 +215,25 @@ def json_text(document) -> str:
     too) and dicts with a non-string key go through ``json.dumps``, so a
     type it cannot write raises ``TypeError``.
     """
-    out: list[str] = []
-    _items(("",), (document,), "\n", out)
-    out.append("\n")
-    return "".join(out)
+    _items(("",), (document,), "\n", write)
+    write("\n")
+
+
+def json_text(document) -> str:
+    """What :func:`json_write` writes for ``document``, as one string."""
+    pieces: list[str] = []
+    json_write(document, pieces.append)
+    return "".join(pieces)
 
 
 class Rendered:
     """Text that ``json_text`` returned, to be placed in a larger
     document as it is, indented to where it sits. ``ensure_ascii``
     output has no raw newline inside a string, so every newline in the
-    text is a line break. ``json_text`` reads ``text`` once, when it
-    reaches the value, so a subclass may make it a property that fetches
-    the text from where it is kept."""
+    text is a line break. ``json_write`` reads ``text`` once, when it
+    reaches the value, and writes it before it reads the next value, so
+    a subclass may make it a property that fetches the text from where
+    it is kept: a streamed document then holds one such text at a time."""
 
     __slots__ = ("text",)
 
@@ -235,17 +244,17 @@ class Rendered:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _items(prefixes, values, newline: str, out: list[str]) -> None:
+def _items(prefixes, values, newline: str, write) -> None:
     """Write each value after its prefix, each at the indentation of
     ``newline``: leaves of the exact types JSON decodes to, ``Fraction``s
     and lists or frozensets of strings in place, containers item by item.
-    A container's prefix and a ``Rendered`` text are entries of their own."""
+    A container's prefix and a ``Rendered`` text are pieces of their own."""
     for prefix, value in zip(prefixes, values):
         kind = type(value)
         if kind is frozenset:  # as its sorted list, through the list branches
             value, kind = sorted(value), list
         if kind is str:
-            out.append(prefix + _encode_str(value))
+            write(prefix + _encode_str(value))
             continue
         if kind is list and value and type(value[0]) is str:
             inner = newline + "  "
@@ -254,23 +263,23 @@ def _items(prefixes, values, newline: str, out: list[str]) -> None:
             except TypeError:  # a non-string item: written as any other list
                 pass
             else:
-                out.append(prefix + "[" + inner + text + newline + "]")
+                write(prefix + "[" + inner + text + newline + "]")
                 continue
         if kind is list and not value:
-            out.append(prefix + "[]")
+            write(prefix + "[]")
         elif kind is int or kind is float and math.isfinite(value):
-            out.append(prefix + repr(value))  # what json.dumps writes for these
+            write(prefix + repr(value))  # what json.dumps writes for these
         elif kind is Fraction:
             n, d = value.numerator, value.denominator  # n / d rounds as float(value) does
-            out.append(f'{prefix}{{{newline}  "exact": "{n}/{d}",{newline}  "value": {n / d!r}'
-                       f'{newline}}}')
+            write(f'{prefix}{{{newline}  "exact": "{n}/{d}",{newline}  "value": {n / d!r}'
+                  f'{newline}}}')
         elif kind is bool:
-            out.append(prefix + ("true" if value else "false"))
+            write(prefix + ("true" if value else "false"))
         elif value is None:
-            out.append(prefix + "null")
+            write(prefix + "null")
         elif isinstance(value, Rendered):
-            out.append(prefix)
-            out.append(value.text[:-1].replace("\n", newline))
+            write(prefix)
+            write(value.text[:-1].replace("\n", newline))
         else:
             separator = "," + newline + "  "
             if isinstance(value, dict):
@@ -278,8 +287,8 @@ def _items(prefixes, values, newline: str, out: list[str]) -> None:
                 try:
                     heads = [separator + _encode_str(key) + ": " for key in keys]
                 except TypeError:  # a non-string key
-                    out.append(prefix)
-                    out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
+                    write(prefix)
+                    write(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
                     continue
                 items, brackets = map(value.__getitem__, keys), "{}"
             elif isinstance(value, (list, tuple)):
@@ -289,15 +298,15 @@ def _items(prefixes, values, newline: str, out: list[str]) -> None:
                 heads = [separator + key for key in keys]
                 items, brackets = map(getattr, repeat(value), names), "{}"
             else:
-                out.append(prefix + json.dumps(value))
+                write(prefix + json.dumps(value))
                 continue
-            out.append(prefix)
+            write(prefix)
             if not heads:
-                out.append(brackets)
+                write(brackets)
                 continue
             heads[0] = brackets[0] + heads[0][1:]
-            _items(heads, items, newline + "  ", out)
-            out.append(newline + brackets[1])
+            _items(heads, items, newline + "  ", write)
+            write(newline + brackets[1])
 
 
 @cache

@@ -136,6 +136,16 @@ def test_top_k_accuracy_hand_enumerated():
         assert within2[feature] == Fraction(3, 4)
 
 
+def test_top_within_k_stops_at_position_k():
+    # The true label sits at position k + 1: a hit for k + 1, none for k.
+    guesses = {"v1": {f: _ranking(["rome", "milan", "padua"]) for f in FEATURES}}
+    truth = {"v1": {f: "padua" for f in FEATURES}}
+    for feature in FEATURES:
+        assert top_within_k_accuracy(guesses, truth, 2)[feature] == 0
+        assert top_within_k_accuracy(guesses, truth, 3)[feature] == 1
+        assert top_k_accuracy(guesses, truth, 2)[feature] == 0
+
+
 def test_top_k_skips_targets_without_truth():
     guesses = {
         "v1": {f: _ranking(["padua"]) for f in FEATURES},

@@ -166,24 +166,28 @@ def test_run_holds_no_victim_files_in_memory(tmp_path, capsys):
 
 def test_run_holds_no_reports_until_the_aggregate(tmp_path, capsys, monkeypatch):
     # Keeping each victim's report.json text for aggregate.json would hold
-    # every report when the aggregate is rendered.
+    # every report when the aggregate is written; rendering the aggregate
+    # as one text before writing it would hold at least its whole text.
     out = tmp_path / "out"
     argv = _run_all_argv(_generate(tmp_path, 60, 20, 3), out)
     traced = {}
-    real_run_experiment, real_json_text = cli.run_experiment, cli.json_text
+    real_run_experiment, real_json_write = cli.run_experiment, cli.json_write
 
     def run_experiment(*args, **kwargs):
         traced["start"] = tracemalloc.get_traced_memory()[0]
         traced["report"] = report = real_run_experiment(*args, **kwargs)
         return report
 
-    def json_text(document):
-        if document is traced.get("report"):
-            traced["aggregate"] = tracemalloc.get_traced_memory()[0]
-        return real_json_text(document)
+    def json_write(document, write):
+        if document is not traced.get("report"):
+            return real_json_write(document, write)
+        traced["aggregate"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        real_json_write(document, write)
+        traced["write_peak"] = tracemalloc.get_traced_memory()[1] - traced["aggregate"]
 
     monkeypatch.setattr(cli, "run_experiment", run_experiment)
-    monkeypatch.setattr(cli, "json_text", json_text)
+    monkeypatch.setattr(cli, "json_write", json_write)
     was_tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
@@ -194,6 +198,7 @@ def test_run_holds_no_reports_until_the_aggregate(tmp_path, capsys, monkeypatch)
     reports = sum(path.stat().st_size for path in out.glob("*/report.json"))
     assert len(list(out.glob("*/report.json"))) == 60
     assert traced["aggregate"] - traced["start"] < reports / 2
+    assert traced["write_peak"] < (out / "aggregate.json").stat().st_size / 2
 
 
 @pytest.fixture
@@ -220,6 +225,32 @@ def test_run_leaves_no_spool_and_no_out_after_failure(tmp_path, capsys, spool_di
     assert main(argv) == 2
     assert "nobody" in capsys.readouterr().err
     assert not out.exists()
+    assert not any(spool_dir.iterdir())
+
+
+def test_run_failing_part_way_through_the_aggregate_leaves_no_aggregate(
+    tmp_path, capsys, spool_dir, monkeypatch
+):
+    # aggregate.json is written piece by piece: a write that fails after
+    # some reports are in its temporary file removes that file too.
+    out = tmp_path / "out"
+    argv = _run_all_argv(_generate(tmp_path, 30, 6, 1), out)
+    real_text = cli._SpooledText.text
+    reads, held = [], []
+
+    def text(self):
+        reads.append(self)
+        if len(reads) == 20:
+            held.append((out / "aggregate.json.tmp").stat().st_size)
+            raise OSError("disk full")
+        return real_text.fget(self)
+
+    monkeypatch.setattr(cli._SpooledText, "text", property(text))
+    assert main(argv) == 2
+    assert "error (run): disk full" in capsys.readouterr().err
+    assert len(reads) == 20 and held[0] > 0  # the temporary file held a part
+    assert not (out / "aggregate.json").exists()
+    assert not (out / "aggregate.json.tmp").exists()
     assert not any(spool_dir.iterdir())
 
 

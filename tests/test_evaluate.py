@@ -9,6 +9,7 @@ from osnrecon import (
     ExperimentConfig,
     GeneratorConfig,
     PublicView,
+    Role,
     Thresholds,
     confusion,
     evaluate_victim,
@@ -18,7 +19,7 @@ from osnrecon import (
 )
 from osnrecon.model import json_text
 
-from helpers import VICTIM
+from helpers import VICTIM, reference_graph
 
 
 def test_confusion_all_correct():
@@ -187,6 +188,28 @@ def test_run_experiment_hands_each_victim_to_on_victim_once():
     assert report["victims"] == [("marker", victim) for victim in victims]
     plain = run_experiment(snap, victims, loose_thresholds())
     assert [doc for _, doc in seen] == plain["victims"]
+
+
+@pytest.mark.parametrize("prune", [True, False])
+def test_report_counts_the_full_graph(prune):
+    # graph.nodes, edges and two_hop count the surveyed graph before
+    # single-edge pruning, whether or not the scored pool was pruned.
+    snap = experiment_snapshot()
+    seen = []
+    report = run_experiment(
+        snap, sorted(snap.users), loose_thresholds(), ExperimentConfig(prune=prune),
+        on_victim=lambda result, doc: seen.append((result.survey, doc)),
+    )
+    evaluated = [(survey, doc["graph"]) for survey, doc in seen if not doc["skipped"]]
+    assert len(evaluated) == report["aggregate"]["victims_evaluated"] > 0
+    assert any(graph["pruned_out"] for _, graph in evaluated) == prune
+    for survey, graph in evaluated:
+        ref = reference_graph(survey)
+        assert graph["nodes"] == len(ref.roles)
+        assert graph["edges"] == sum(map(len, ref.adj.values())) // 2
+        assert graph["two_hop"] == sum(
+            role not in (Role.VICTIM, Role.ONE_HOP) for role in ref.roles.values()
+        )
 
 
 @pytest.mark.parametrize("budget", [0, 60, 120, 200, 1000])

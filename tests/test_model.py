@@ -1,4 +1,5 @@
 import copy
+import io
 import json
 import random
 import tracemalloc
@@ -28,7 +29,7 @@ from osnrecon import (
 )
 
 import osnrecon.model
-from osnrecon.model import Rendered, json_text, read_json
+from osnrecon.model import Rendered, json_text, json_write, read_json
 
 from helpers import (
     reference,
@@ -696,6 +697,14 @@ report_trees = st.recursive(
 @given(report_trees)
 def test_json_text_renders_report_values(value):
     assert json_text(value) == json.dumps(reference(value), sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_documents | report_trees)
+def test_json_write_streams_what_json_text_returns(value):
+    stream = io.StringIO()
+    json_write(value, stream.write)
+    assert stream.getvalue() == json_text(value)
 
 
 @settings(max_examples=200, deadline=None)
