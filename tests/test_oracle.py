@@ -11,6 +11,7 @@ from osnrecon import (
     generate_synthetic,
     load_snapshot,
 )
+from osnrecon import model, oracle
 from osnrecon.oracle import IdenticalIdsError, UnknownUserError
 
 from helpers import brute_mutual_friends
@@ -109,6 +110,7 @@ def test_only_features_are_public():
     )
     assert snap.users["a"].attributes == {"education": "padua"}
     assert PublicView(snap).public_attributes_of("a") == {"education": "padua"}
+    assert set(model.ATTRIBUTES) == set(oracle.FEATURES)
 
 
 def test_exhaustive_pairwise_adjacency():
@@ -177,38 +179,60 @@ def test_counter_is_atomic_under_threads():
     assert view.query_count == 8 * 200
 
 
-PAIR_CHANNELS = ("are_friends", "mutual_friends")
+# Each channel and the arguments of one call it answers on two_user_snapshot.
+CHANNEL_ARGS = {
+    "are_friends": ("a", "b"),
+    "mutual_friends": ("a", "b"),
+    "public_pictures_of": ("a",),
+    "public_attributes_of": ("a",),
+}
+PAIR_REFUSALS = [
+    (("ghost", "ghost"), IdenticalIdsError, None),
+    (("a", "a"), IdenticalIdsError, None),
+    (("ghost1", "ghost2"), UnknownUserError, "ghost1"),
+    (("a", "ghost"), UnknownUserError, "ghost"),
+    (("ghost", "a"), UnknownUserError, "ghost"),
+]
+REFUSALS = [
+    pytest.param(channel, args, error, user_id, id=f"{channel}-{'-'.join(args)}")
+    for channel, answered in CHANNEL_ARGS.items()
+    for args, error, user_id in (
+        PAIR_REFUSALS if len(answered) == 2 else [(("ghost",), UnknownUserError, "ghost")]
+    )
+]
 
 
-@pytest.mark.parametrize("channel", PAIR_CHANNELS)
-@pytest.mark.parametrize(
-    "pair, error, user_id",
-    [
-        (("ghost", "ghost"), IdenticalIdsError, None),
-        (("a", "a"), IdenticalIdsError, None),
-        (("ghost1", "ghost2"), UnknownUserError, "ghost1"),
-        (("a", "ghost"), UnknownUserError, "ghost"),
-        (("ghost", "a"), UnknownUserError, "ghost"),
-    ],
-)
-def test_pair_channel_errors_charge_nothing(channel, pair, error, user_id):
-    view = PublicView(two_user_snapshot(), budget=1)
+@pytest.mark.parametrize("budget", [1, 0])
+@pytest.mark.parametrize("channel, args, error, user_id", REFUSALS)
+def test_pair_channel_errors_charge_nothing(channel, args, error, user_id, budget):
+    # An identical or unknown id is refused before the budget is looked at.
+    view = PublicView(two_user_snapshot(), budget=budget)
+    call = getattr(view, channel)
     with pytest.raises(error) as raised:
-        getattr(view, channel)(*pair)
+        call(*args)
     if user_id is not None:
         assert raised.value.user_id == user_id
     assert view.query_count == 0
-    getattr(view, channel)("a", "b")  # the one budgeted query is still there
-    assert view.query_count == 1
+    if budget:
+        call(*CHANNEL_ARGS[channel])  # the one budgeted query is still there
+    else:
+        with pytest.raises(QueryBudgetExceeded):
+            call(*CHANNEL_ARGS[channel])
+    assert view.query_count == budget
 
 
-@pytest.mark.parametrize("channel", PAIR_CHANNELS)
+@pytest.mark.parametrize("channel", CHANNEL_ARGS)
 def test_pair_channel_past_budget(channel):
     view = PublicView(two_user_snapshot(), budget=2)
-    getattr(view, channel)("a", "b")
-    getattr(view, channel)("a", "c")
-    with pytest.raises(QueryBudgetExceeded):
-        getattr(view, channel)("b", "c")
+    call = getattr(view, channel)
+    arity = len(CHANNEL_ARGS[channel])
+    call(*("a", "b")[:arity])
+    call(*("b", "c")[:arity])
+    with pytest.raises(QueryBudgetExceeded) as raised:
+        call(*("c", "a")[:arity])
+    # The benchmark tracer counts refusals by this type name.
+    assert type(raised.value).__name__ == "QueryBudgetExceeded"
+    assert str(raised.value) == "query budget of 2 exhausted"
     assert view.query_count == 2
 
 

@@ -279,11 +279,17 @@ def test_mutuals_keep_pairs_whose_joined_ids_collide():
     }
 
 
-@pytest.mark.parametrize("p_friend", [1.0, 0.5])
-def test_collect_matches_brute_force_on_corpus(p_friend):
+@pytest.mark.parametrize(
+    "p_friend, p_stranger", [(1.0, 0.0), (0.5, 0.0), (0.5, 0.3)], ids=["1.0", "0.5", "0.5-0.3"]
+)
+def test_collect_matches_brute_force_on_corpus(p_friend, p_stranger):
     # Below full engagement, recovery on a can find b while recovery on b
-    # misses a, so some surveyed pairs have no mirror.
-    config = replace(full_engagement_config(n=40, degree=6.0), p_friend=p_friend)
+    # misses a, so some surveyed pairs have no mirror. Strangers who engage
+    # make some recovered friends candidates, not friends, of each other,
+    # and the ledger must record those as non-friends.
+    config = replace(
+        full_engagement_config(n=40, degree=6.0), p_friend=p_friend, p_stranger=p_stranger
+    )
     snap = generate_synthetic(config, seed=21)
     for victim in sorted(snap.users)[:8]:
         survey = collect_2hop(victim, PublicView(snap))
